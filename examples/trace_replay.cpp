@@ -14,7 +14,8 @@
 //       machine cores than trace cores) become a rate-mode co-scheduled
 //       mix: core c runs program c % P (see cdsim/sim/scenario.hpp).
 //       Replay is streaming — multi-GB v2 traces run in O(cores x chunk)
-//       memory.
+//       memory. A trace that turns out corrupt mid-replay exits 1 with
+//       the reader's message.
 //
 //       --topology=bus|dmesh --hierarchy=2|3 --cores=N   machine family
 //       --technique=baseline|protocol|decay|sel_decay    leakage technique
@@ -40,6 +41,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -183,11 +185,7 @@ ReplayResult run_machine(const sim::SystemConfig& cfg,
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc == 1) return run_demo();
-
+int replay_traces(int argc, char** argv) {
   examples::MachineFlags mf;
   std::string tech_name = "sel_decay";
   std::uint64_t decay_k = 32;
@@ -384,6 +382,10 @@ int main(int argc, char** argv) {
     whole->num_cores = src->num_cores();
     workload::TraceRecord rec;
     while (src->next(rec)) whole->append(rec);
+    if (const std::string load_err = src->error(); !load_err.empty()) {
+      std::fprintf(stderr, "trace_replay: %s\n", load_err.c_str());
+      return 1;
+    }
     const ReplayResult mem = run_machine(
         cfg, workload::replay_factory(
                  std::shared_ptr<const workload::Trace>(whole)),
@@ -426,4 +428,18 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc == 1) return run_demo();
+  // A trace that fails mid-replay (a corrupt chunk) stops the run; report
+  // the reader's message instead of metrics.
+  try {
+    return replay_traces(argc, argv);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 1;
+  }
 }

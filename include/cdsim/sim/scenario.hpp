@@ -15,9 +15,18 @@
 // stretch or shrink budgets — the op sequence each core draws is the
 // recorded one, so runs stay bit-deterministic.
 //
-// Streams come from FilteredReplayStream over a private cursor per core
-// (each opener call opens its own ChunkedTraceReader), so an M-core mix
-// of multi-GB .cdt v2 traces replays in O(M x chunk) memory.
+// Exact replay of one trace on its own machine goes through
+// workload::streaming_replay_factory: one shared cursor per system,
+// demultiplexed into bounded per-core queues (trace_source.hpp). A mix
+// instead gives every machine core a private cursor (FilteredReplayStream
+// over its own opener call — the same primitive a detached core of the
+// shared path falls back to): one trace core may run on several machine
+// cores, and weights make cores drift arbitrarily far apart, so a shared
+// cursor would detach them all anyway. An M-core mix of multi-GB .cdt v2
+// traces therefore replays in O(M x chunk) memory. A trace that fails
+// mid-replay (a corrupt chunk) throws std::runtime_error out of
+// CmpSystem::run with the reader's message; it is never replayed as the
+// repeat-last tail.
 
 #include <cstdint>
 #include <string>

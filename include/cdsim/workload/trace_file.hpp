@@ -66,7 +66,7 @@ struct Trace : TraceSink {
 
   /// Instruction budget that makes a replayed core commit exactly its
   /// recorded ops: sum of (gap + 1) per core. Cores with no records get 1
-  /// (they replay a single idle filler op — see replay_factory).
+  /// (they replay a single idle filler op — see trace_source.hpp).
   [[nodiscard]] std::vector<std::uint64_t> per_core_instructions() const;
 };
 
@@ -86,6 +86,16 @@ class InMemoryTraceSource final : public TraceSource {
     return true;
   }
 
+  bool skip(std::uint64_t n) override {
+    const std::size_t left = trace_->records.size() - pos_;
+    if (n > left) {
+      pos_ = trace_->records.size();
+      return false;
+    }
+    pos_ += static_cast<std::size_t>(n);
+    return true;
+  }
+
   [[nodiscard]] std::uint32_t num_cores() const override {
     return trace_->num_cores;
   }
@@ -100,9 +110,9 @@ class InMemoryTraceSource final : public TraceSource {
   std::size_t pos_ = 0;
 };
 
-/// Replays a shared in-memory trace without duplicating its records: each
-/// pass opens an InMemoryTraceSource cursor over `trace` and demultiplexes
-/// it per core (see trace_source.hpp for the tail/idle-core contract).
+/// Replays a shared in-memory trace without duplicating its records:
+/// streaming_replay_factory over InMemoryTraceSource cursors (see
+/// trace_source.hpp for the shared cursor and the tail/idle-core contract).
 StreamFactory replay_factory(std::shared_ptr<const Trace> trace);
 
 /// Convenience overload for temporaries: copies `trace` once into shared

@@ -7,25 +7,37 @@
 // chunked .cdt v2 writer both implement it). A TraceSource is a forward
 // cursor over a stored trace — pull records one at a time, O(1) state —
 // implemented by the in-memory v1 Trace bridge and the chunked v2 reader.
-// Replay is built on sources, never on materialized per-core vectors, so
-// a multi-gigabyte trace replays without ever living in memory:
 //
-//   * replay_factory(open): ONE shared cursor per system, demultiplexed
-//     into per-core queues. Memory is bounded by the capture's
-//     interleaving skew (simulator captures interleave fairly, so queues
-//     stay shallow). Cheapest when the source is already in memory.
-//   * streaming_replay_factory(open): every core opens its OWN cursor and
-//     discards other cores' records. Strictly O(chunk) memory per core no
-//     matter how skewed the trace is — the path the multi-gigabyte CI
-//     smoke uses — at the price of N file cursors.
+// Replay has one path, streaming_replay_factory(open). It opens ONE cursor
+// per replayed system and demultiplexes it into per-core queues
+// (ReplayDemux), so every chunk is read, checksummed and decoded once:
 //
-// Both factories reproduce ScriptedWorkload's kRepeatLast contract
+//   * Lock-step fast path. A core whose queue is empty takes its record
+//     straight from the cursor. A replay on the capture's own machine draws
+//     in capture order, so nothing is ever queued.
+//   * Bounded memory under skew. Each per-core queue holds at most
+//     kReplayQueueCap ops (one default v2 chunk). A core whose queue would
+//     overflow detaches: it drains what is queued, then continues on a
+//     private cursor from `open`, skip()ped to its first unqueued record
+//     and filtered to its own records. Memory stays O(chunk) per core no
+//     matter how the trace interleaves (a different technique, a mix, a
+//     synthetic trace), which is what lets a multi-gigabyte trace replay
+//     without ever living in memory.
+//
+// FilteredReplayStream — a private cursor that skips other cores' records
+// — is the detach path's primitive made a stream; rate-mode mixes
+// (sim/scenario.hpp) replay through it.
+//
+// Every replay stream reproduces ScriptedWorkload's kRepeatLast contract
 // exactly (see scripted.hpp): the final recorded op is returned verbatim
 // once, every repeat after that is re-stamped dependent=false, and a core
-// the trace never scheduled replays a single idle filler op. That is what
-// keeps the golden replay pins bit-identical across the in-memory and
-// streaming paths.
+// the trace never scheduled replays a single idle filler op. That keeps
+// the golden replay pins bit-identical across in-memory and on-disk
+// traces. A source that fails mid-replay (a corrupt chunk) never enters
+// the tail: the stream throws std::runtime_error carrying the source's
+// error(), which stops the run.
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -59,8 +71,7 @@ class TraceSource {
   virtual ~TraceSource() = default;
 
   /// Pulls the next record in global draw order. Returns false at the end
-  /// of the trace (or, for disk-backed sources, on a read error — check
-  /// the source's own error state when that matters).
+  /// of the trace or on a read error; error() tells the two apart.
   virtual bool next(TraceRecord& out) = 0;
 
   [[nodiscard]] virtual std::uint32_t num_cores() const = 0;
@@ -71,15 +82,34 @@ class TraceSource {
   /// for footer-indexed formats; the in-memory bridge computes it.
   [[nodiscard]] virtual std::vector<std::uint64_t> per_core_instructions()
       const = 0;
+
+  /// Advances past the next `n` records. Returns false if the trace ended
+  /// or failed first. The default pulls them one by one; indexed sources
+  /// override it with a seek.
+  virtual bool skip(std::uint64_t n) {
+    TraceRecord rec;
+    for (; n > 0; --n) {
+      if (!next(rec)) return false;
+    }
+    return true;
+  }
+
+  /// Why next()/skip() stopped early: empty for a clean end of trace (and
+  /// for sources that cannot fail), the read error otherwise.
+  [[nodiscard]] virtual std::string error() const { return {}; }
 };
 
 using TraceSourcePtr = std::unique_ptr<TraceSource>;
 
 /// Opens one fresh, independent cursor over a trace, positioned at the
 /// start. Replay factories take openers rather than sources so a factory
-/// can be reused across systems (each pass re-opens) and so rate-mode
-/// co-scheduling can give every assigned core its own cursor.
+/// can be reused across systems (each pass re-opens) and so a detached
+/// core or a rate-mode mix can get a cursor of its own.
 using TraceOpener = std::function<TraceSourcePtr()>;
+
+/// Per-core queue cap of the shared replay cursor, in ops: one default
+/// .cdt v2 chunk (ChunkedTraceWriter::kDefaultChunkRecords).
+inline constexpr std::size_t kReplayQueueCap = std::size_t{1} << 16;
 
 /// Reserved region for the idle filler op of cores a trace never
 /// scheduled (region id 7 in the synthetic address map's bits 40+, far
@@ -123,86 +153,116 @@ class CaptureStream final : public WorkloadStream {
 /// alive for the run and finalizes it afterwards if the sink needs it.
 StreamFactory capture_factory(StreamFactory inner, TraceSink* sink);
 
-/// Shared-cursor demultiplexer: one forward pass over a TraceSource
-/// feeding per-core FIFO queues. pop(core) advances the source (queueing
-/// other cores' ops) until an op for `core` appears or the source ends.
+/// Per-core replay with the kRepeatLast tail: ops come verbatim from
+/// pull() until it runs dry, then the final op repeats re-stamped
+/// dependent=false (the idle filler for a core with no ops).
+class ReplayStream : public WorkloadStream {
+ public:
+  MemOp next(Cycle now) final;
+
+  [[nodiscard]] std::string_view name() const final { return "replay"; }
+
+ protected:
+  /// `core` is the trace core whose ops the stream replays.
+  explicit ReplayStream(CoreId core) : core_(core) {}
+
+  [[nodiscard]] CoreId core() const { return core_; }
+
+  /// The core's next recorded op; false once they are exhausted. Throws
+  /// std::runtime_error if the underlying source failed.
+  virtual bool pull(MemOp& out) = 0;
+
+ private:
+  CoreId core_ = 0;
+  MemOp last_;
+  bool have_last_ = false;
+  bool tail_ = false;
+};
+
+/// One shared cursor for a replayed system, demultiplexed into bounded
+/// per-core queues (see the file comment for the fast path and the detach
+/// rule).
 class ReplayDemux {
  public:
-  explicit ReplayDemux(TraceSourcePtr source)
-      : source_(std::move(source)), queues_(source_->num_cores()) {
-    CDSIM_ASSERT(source_ != nullptr);
-  }
+  /// Opens the shared cursor; `open` is kept for detached cores.
+  explicit ReplayDemux(TraceOpener open);
 
-  /// False once the source is exhausted and `core`'s queue is empty.
+  /// Next op of `core`; false once its records are exhausted. Throws
+  /// std::runtime_error if a cursor fails.
   bool pop(CoreId core, MemOp& out);
 
   [[nodiscard]] std::uint32_t num_cores() const {
-    return static_cast<std::uint32_t>(queues_.size());
+    return static_cast<std::uint32_t>(lanes_.size());
+  }
+
+  /// Deepest any per-core queue has been (at most kReplayQueueCap).
+  [[nodiscard]] std::size_t queue_high_water() const { return high_water_; }
+
+  /// Whether `core` overflowed its queue and moved to a private cursor.
+  [[nodiscard]] bool detached(CoreId core) const {
+    CDSIM_ASSERT(core < lanes_.size());
+    return lanes_[core].detached;
   }
 
  private:
-  TraceSourcePtr source_;
-  std::vector<std::deque<MemOp>> queues_;
-  bool exhausted_ = false;
+  struct Lane {
+    std::deque<MemOp> queue;
+    bool detached = false;
+    /// Global index of the first record the shared cursor did not queue.
+    std::uint64_t resume_at = 0;
+    TraceSourcePtr own;  ///< Private cursor, opened once the queue drains.
+  };
+
+  void park(const TraceRecord& rec, std::uint64_t index);
+  bool pop_private(Lane& lane, CoreId core, MemOp& out);
+
+  TraceOpener open_;
+  TraceSourcePtr shared_;
+  std::uint64_t pulled_ = 0;  ///< Records drawn from shared_ so far.
+  bool shared_done_ = false;
+  std::vector<Lane> lanes_;
+  std::size_t high_water_ = 0;
 };
 
-/// Per-core replay over a shared demux, with ScriptedWorkload's
-/// kRepeatLast tail semantics (final op verbatim once, then re-stamped
-/// dependent=false; idle filler for op-less cores).
-class DemuxReplayStream final : public WorkloadStream {
+/// Replay stream of one core over its system's shared demux.
+class DemuxReplayStream final : public ReplayStream {
  public:
-  DemuxReplayStream(std::shared_ptr<ReplayDemux> demux, CoreId core,
-                    std::string name = "replay")
-      : demux_(std::move(demux)), core_(core), name_(std::move(name)) {}
+  DemuxReplayStream(std::shared_ptr<ReplayDemux> demux, CoreId core)
+      : ReplayStream(core), demux_(std::move(demux)) {
+    CDSIM_ASSERT(demux_ != nullptr);
+  }
 
-  MemOp next(Cycle now) override;
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
+  [[nodiscard]] const ReplayDemux& demux() const { return *demux_; }
 
  private:
+  bool pull(MemOp& out) override { return demux_->pop(core(), out); }
+
   std::shared_ptr<ReplayDemux> demux_;
-  CoreId core_ = 0;
-  std::string name_;
-  MemOp last_;
-  bool have_last_ = false;
-  bool tail_ = false;
 };
 
 /// Per-core replay over a PRIVATE cursor: skips records of other cores as
-/// it streams, so memory stays O(1) in trace length regardless of how the
-/// capture interleaved. Same tail semantics as DemuxReplayStream.
-class FilteredReplayStream final : public WorkloadStream {
+/// it streams, so memory stays O(chunk) whatever the interleaving, at the
+/// price of decoding the whole trace per core.
+class FilteredReplayStream final : public ReplayStream {
  public:
   /// `target` is the trace-core whose ops this stream replays (rate-mode
   /// co-scheduling maps machine cores onto trace cores explicitly).
-  FilteredReplayStream(TraceSourcePtr source, CoreId target,
-                       std::string name = "replay")
-      : source_(std::move(source)), target_(target), name_(std::move(name)) {
+  FilteredReplayStream(TraceSourcePtr source, CoreId target)
+      : ReplayStream(target), source_(std::move(source)) {
     CDSIM_ASSERT(source_ != nullptr);
   }
 
-  MemOp next(Cycle now) override;
-
-  [[nodiscard]] std::string_view name() const override { return name_; }
-
  private:
+  bool pull(MemOp& out) override;
+
   TraceSourcePtr source_;
-  CoreId target_ = 0;
-  std::string name_;
-  MemOp last_;
-  bool have_last_ = false;
-  bool tail_ = false;
-  bool exhausted_ = false;
 };
 
-/// Replay on a single shared cursor (one forward pass, per-core queues).
-/// The opener runs once per system: CmpSystem requests streams in core
-/// order, and a request for a core at or below the previous one starts a
-/// fresh pass, so the factory is safely reusable across runs.
-StreamFactory replay_factory(TraceOpener open);
-
-/// Replay with strictly O(chunk) memory: every core opens its own cursor
-/// via `open` and filters to its own records.
+/// Replays a trace on a machine: one ReplayDemux per system. The opener
+/// runs once per system (plus once per detached core): CmpSystem requests
+/// streams in core order, and a request for a core at or below the
+/// previous one starts a fresh pass, so the factory is safely reusable
+/// across runs.
 StreamFactory streaming_replay_factory(TraceOpener open);
 
 }  // namespace cdsim::workload

@@ -76,6 +76,8 @@ struct TraceV2Info {
 class ChunkedTraceWriter final : public TraceSink {
  public:
   static constexpr std::uint32_t kDefaultChunkRecords = 1u << 16;
+  static_assert(kDefaultChunkRecords == kReplayQueueCap,
+                "the replay queue cap is one default chunk of ops");
 
   ChunkedTraceWriter(const std::string& path, std::uint32_t num_cores,
                      std::uint32_t chunk_records = kDefaultChunkRecords);
@@ -121,8 +123,9 @@ class ChunkedTraceWriter final : public TraceSink {
 };
 
 /// Streaming .cdt v2 reader: validates header/footer at open(), then
-/// decodes one chunk at a time. next() returns false at end-of-trace OR
-/// on corruption — failed()/error() distinguish the two.
+/// decodes one chunk at a time into buffers reused across chunks. next()
+/// returns false at end-of-trace OR on corruption — failed()/error()
+/// distinguish the two.
 class ChunkedTraceReader final : public TraceSource {
  public:
   /// Returns nullptr (and sets *error) on any validation failure.
@@ -138,6 +141,10 @@ class ChunkedTraceReader final : public TraceSource {
   [[nodiscard]] std::vector<std::uint64_t> per_core_instructions()
       const override;
 
+  /// seek(position() + n); parks at the end and returns false if fewer
+  /// than `n` records remain.
+  bool skip(std::uint64_t n) override;
+
   /// Repositions the cursor to global record index `rec` (0-based; `rec`
   /// == total_records parks at end). Lands on the containing chunk via
   /// the footer index and decodes forward. Returns false (failed() set)
@@ -149,7 +156,7 @@ class ChunkedTraceReader final : public TraceSource {
 
   [[nodiscard]] const TraceV2Info& info() const { return info_; }
   [[nodiscard]] bool failed() const { return !error_.empty(); }
-  [[nodiscard]] const std::string& error() const { return error_; }
+  [[nodiscard]] std::string error() const override { return error_; }
 
  private:
   ChunkedTraceReader() = default;
@@ -169,6 +176,9 @@ class ChunkedTraceReader final : public TraceSource {
   TraceV2Info info_;
   std::vector<ChunkEntry> index_;
   std::vector<TraceRecord> chunk_;   ///< Decoded records of cur_chunk_.
+  std::string chunk_head_;           ///< Raw chunk header (reused).
+  std::string payload_;              ///< Raw chunk payload (reused).
+  std::vector<Addr> prev_addr_;      ///< Per-core delta state (reused).
   std::uint32_t cur_chunk_ = 0;      ///< Index of the chunk in chunk_.
   bool chunk_loaded_ = false;
   std::size_t chunk_pos_ = 0;        ///< Next record within chunk_.
@@ -181,12 +191,6 @@ bool save_v2(const Trace& trace, const std::string& path,
              std::string* error = nullptr,
              std::uint32_t chunk_records =
                  ChunkedTraceWriter::kDefaultChunkRecords);
-
-/// Copies a source to a .cdt v2 file (streaming, O(chunk) memory).
-bool write_v2_from_source(TraceSource& src, const std::string& path,
-                          std::string* error = nullptr,
-                          std::uint32_t chunk_records =
-                              ChunkedTraceWriter::kDefaultChunkRecords);
 
 /// Sniffs the magic and opens a streaming cursor over either format: v2
 /// files stream chunk-by-chunk; v1 files load whole (they are small —

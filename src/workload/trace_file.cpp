@@ -214,16 +214,16 @@ std::vector<std::uint64_t> Trace::per_core_instructions() const {
     budget[r.core] += static_cast<std::uint64_t>(r.op.gap) + 1;
   }
   for (auto& b : budget) {
-    if (b == 0) b = 1;  // idle filler op (see replay_factory)
+    if (b == 0) b = 1;  // idle filler op (see trace_source.hpp)
   }
   return budget;
 }
 
 StreamFactory replay_factory(std::shared_ptr<const Trace> trace) {
   CDSIM_ASSERT(trace != nullptr);
-  return replay_factory(TraceOpener{[trace]() -> TraceSourcePtr {
+  return streaming_replay_factory([trace]() -> TraceSourcePtr {
     return std::make_unique<InMemoryTraceSource>(trace);
-  }});
+  });
 }
 
 StreamFactory replay_factory(const Trace& trace) {

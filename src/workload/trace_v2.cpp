@@ -393,7 +393,8 @@ bool ChunkedTraceReader::load_chunk(std::uint32_t idx) {
   const ChunkEntry& e = index_[idx];
   in_.clear();
   in_.seekg(static_cast<std::streamoff>(e.offset));
-  std::string head(kChunkHeaderBytes, '\0');
+  std::string& head = chunk_head_;
+  head.resize(kChunkHeaderBytes);
   in_.read(head.data(), static_cast<std::streamsize>(head.size()));
   if (!in_.good()) return fail("short read (chunk header)");
   const std::uint32_t payload_bytes = get_u32(head, 0);
@@ -404,7 +405,8 @@ bool ChunkedTraceReader::load_chunk(std::uint32_t idx) {
     return fail("chunk " + std::to_string(idx) +
                 " header disagrees with the footer index: file is corrupt");
   }
-  std::string payload(payload_bytes, '\0');
+  std::string& payload = payload_;
+  payload.resize(payload_bytes);
   in_.read(payload.data(), static_cast<std::streamsize>(payload.size()));
   if (!in_.good()) return fail("short read (chunk payload)");
   if (fnv1a(payload) != get_u64(head, 8)) {
@@ -414,7 +416,8 @@ bool ChunkedTraceReader::load_chunk(std::uint32_t idx) {
 
   chunk_.clear();
   chunk_.reserve(records);
-  std::vector<Addr> prev(info_.num_cores, 0);
+  std::vector<Addr>& prev = prev_addr_;
+  prev.assign(info_.num_cores, 0);
   std::size_t off = 0;
   for (std::uint32_t i = 0; i < records; ++i) {
     if (off + 3 > payload.size()) {
@@ -473,6 +476,14 @@ bool ChunkedTraceReader::next(TraceRecord& out) {
   return true;
 }
 
+bool ChunkedTraceReader::skip(std::uint64_t n) {
+  if (n > info_.total_records - pos_) {
+    seek(info_.total_records);
+    return false;
+  }
+  return seek(pos_ + n);
+}
+
 bool ChunkedTraceReader::seek(std::uint64_t rec) {
   if (failed()) return false;
   if (rec > info_.total_records) return false;
@@ -508,18 +519,6 @@ bool save_v2(const Trace& trace, const std::string& path, std::string* error,
              std::uint32_t chunk_records) {
   ChunkedTraceWriter w(path, trace.num_cores, chunk_records);
   for (const TraceRecord& r : trace.records) w.append(r);
-  if (!w.finish()) {
-    set_error(error, w.error());
-    return false;
-  }
-  return true;
-}
-
-bool write_v2_from_source(TraceSource& src, const std::string& path,
-                          std::string* error, std::uint32_t chunk_records) {
-  ChunkedTraceWriter w(path, src.num_cores(), chunk_records);
-  TraceRecord rec;
-  while (src.next(rec)) w.append(rec);
   if (!w.finish()) {
     set_error(error, w.error());
     return false;

@@ -1,6 +1,7 @@
 // Chunked .cdt v2: round-trip fidelity against v1, corruption rejection at
 // chunk and footer granularity, truncation, seek/resume, and bit-identical
-// replay between the streaming and load-it-whole paths — plus the
+// replay between the streaming and load-it-whole paths, the shared replay
+// cursor's queue bound and detach path, mid-replay corruption — plus the
 // multi-program scenario mixes built on top (sim/scenario.hpp).
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -399,9 +401,9 @@ TEST(TraceV2, SeekLandsOnAnyRecordAndResumes) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
-  // Capture a hostile run, save as v2, then replay it twice: through the
-  // load-it-whole in-memory demux and through the streaming per-core
-  // cursors. Metrics must match bit-for-bit (EXPECT_EQ on doubles).
+  // Capture a hostile run, save as v2, then replay it twice: from the
+  // load-it-whole in-memory trace and from the v2 file. Metrics must match
+  // bit-for-bit (EXPECT_EQ on doubles).
   verify::FuzzScenario sc;
   sc.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
   sc.seed = 2718;
@@ -420,7 +422,7 @@ TEST(TraceV2, StreamingReplayIsBitIdenticalToInMemoryReplay) {
       verify::replay_scenario(sc, original.trace);
   ASSERT_EQ(in_memory.total_divergences, 0u);
 
-  // Streaming: per-core FilteredReplayStream cursors over the v2 file.
+  // Streaming: one shared chunked cursor over the v2 file.
   sim::SystemConfig cfg = sc.system_config();
   cfg.per_core_instructions = original.trace.per_core_instructions();
   workload::Benchmark bench;
@@ -634,6 +636,303 @@ TEST(TraceV2, MultiProgramFuzzCellCapturesAndReplaysBitIdentically) {
   EXPECT_EQ(replay.metrics.cycles, out.metrics.cycles);
   EXPECT_EQ(replay.metrics.ipc, out.metrics.ipc);
   EXPECT_EQ(replay.metrics.energy, out.metrics.energy);
+}
+
+// ---------------------------------------------------------------------------
+// The shared replay cursor: one decode per system, bounded queues, and a
+// corrupt chunk that stops the run
+// ---------------------------------------------------------------------------
+
+struct OpenCounts {
+  std::uint64_t opens = 0;
+  std::uint64_t nexts = 0;
+};
+
+/// Counts next() calls. It overrides only the pure members, like a
+/// decorator written before skip() and error() existed, so it runs on the
+/// TraceSource defaults of both.
+class CountingSource final : public workload::TraceSource {
+ public:
+  CountingSource(workload::TraceSourcePtr inner, OpenCounts* counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  bool next(TraceRecord& out) override {
+    ++counts_->nexts;
+    return inner_->next(out);
+  }
+  [[nodiscard]] std::uint32_t num_cores() const override {
+    return inner_->num_cores();
+  }
+  [[nodiscard]] std::vector<std::uint64_t> per_core_instructions()
+      const override {
+    return inner_->per_core_instructions();
+  }
+
+ private:
+  workload::TraceSourcePtr inner_;
+  OpenCounts* counts_;
+};
+
+workload::TraceOpener counting_opener(const std::string& path,
+                                      OpenCounts* counts) {
+  return [path, counts]() -> workload::TraceSourcePtr {
+    ++counts->opens;
+    return std::make_unique<CountingSource>(workload::open_trace_source(path),
+                                            counts);
+  };
+}
+
+TEST(SharedReplay, SkipAgreesAcrossSourceKinds) {
+  // The v2 reader seeks, the in-memory source jumps, and the TraceSource
+  // default (CountingSource overrides only next) pulls: all three land on
+  // the same record and stop cleanly at the end.
+  const Trace t = corner_trace(3, 50);
+  const std::string path = temp_path("skip");
+  std::string err;
+  ASSERT_TRUE(workload::save_v2(t, path, &err, /*chunk_records=*/8)) << err;
+  OpenCounts counts;
+  std::vector<workload::TraceSourcePtr> sources;
+  sources.push_back(workload::open_trace_source(path));
+  sources.push_back(std::make_unique<workload::InMemoryTraceSource>(
+      std::make_shared<const Trace>(t)));
+  sources.push_back(counting_opener(path, &counts)());
+  for (const workload::TraceSourcePtr& src : sources) {
+    ASSERT_NE(src, nullptr);
+    TraceRecord rec;
+    ASSERT_TRUE(src->skip(7));
+    ASSERT_TRUE(src->next(rec));
+    EXPECT_EQ(rec.op.addr, t.records[7].op.addr);
+    ASSERT_TRUE(src->skip(9));  // across the chunk boundary at 16
+    ASSERT_TRUE(src->next(rec));
+    EXPECT_EQ(rec.op.addr, t.records[17].op.addr);
+    EXPECT_FALSE(src->skip(100));
+    EXPECT_FALSE(src->next(rec));
+    EXPECT_EQ(src->error(), "");
+  }
+  std::remove(path.c_str());
+}
+
+/// Wraps a replay factory so the test can reach each core's demux.
+workload::StreamFactory keep_streams(
+    workload::StreamFactory inner,
+    std::vector<const workload::DemuxReplayStream*>* out) {
+  return [inner = std::move(inner), out](CoreId core, std::uint64_t seed) {
+    workload::StreamPtr s = inner(core, seed);
+    out->push_back(dynamic_cast<const workload::DemuxReplayStream*>(s.get()));
+    return s;
+  };
+}
+
+void expect_same_run(const sim::RunMetrics& a, const sim::RunMetrics& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
+  EXPECT_EQ(a.l2_misses, b.l2_misses);
+  EXPECT_EQ(a.l2_coherence_invals, b.l2_coherence_invals);
+  EXPECT_EQ(a.ipc, b.ipc);
+  EXPECT_EQ(a.energy, b.energy);
+}
+
+TEST(SharedReplay, OwnMachineReplayOpensOnceAndDrawsEachRecordOnce) {
+  // A capture replayed on its own machine draws in capture order: one
+  // open per system, exactly total_records next() calls, nothing queued.
+  verify::FuzzScenario sc;
+  sc.seed = 4242;
+  sc.instructions_per_core = 40000;
+  const verify::ScenarioOutcome original = verify::run_scenario(sc);
+  ASSERT_EQ(original.total_divergences, 0u);
+  const std::string path = temp_path("ownmachine");
+  std::string err;
+  ASSERT_GT(original.trace.records.size(), 4 * 64u);  // spans chunks
+  ASSERT_TRUE(workload::save_v2(original.trace, path, &err,
+                                /*chunk_records=*/64))
+      << err;
+
+  sim::SystemConfig cfg = sc.system_config();
+  cfg.per_core_instructions = original.trace.per_core_instructions();
+  workload::Benchmark bench;
+  bench.config.name = sc.label();
+  OpenCounts counts;
+  std::vector<const workload::DemuxReplayStream*> streams;
+  const workload::StreamFactory factory = keep_streams(
+      workload::streaming_replay_factory(counting_opener(path, &counts)),
+      &streams);
+  for (std::uint64_t pass = 1; pass <= 2; ++pass) {
+    streams.clear();
+    sim::CmpSystem sys(cfg, bench, factory);
+    const sim::RunMetrics m = sys.run();
+    expect_same_run(m, original.metrics);
+    EXPECT_EQ(counts.opens, pass);
+    EXPECT_EQ(counts.nexts, pass * original.trace.records.size());
+    ASSERT_EQ(streams.size(), cfg.num_cores);
+    ASSERT_NE(streams[0], nullptr);
+    EXPECT_EQ(&streams[0]->demux(), &streams.back()->demux());
+    EXPECT_EQ(streams[0]->demux().queue_high_water(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
+/// Two cores; every core-0 record (more than a queue holds) precedes every
+/// core-1 record. Loads and stores over a shared 256 KiB window keep the
+/// coherence machinery busy.
+Trace skewed_trace(std::size_t core0_ops, std::size_t core1_ops) {
+  Trace t;
+  t.num_cores = 2;
+  for (CoreId c = 0; c < 2; ++c) {
+    const std::size_t n = c == 0 ? core0_ops : core1_ops;
+    for (std::size_t i = 0; i < n; ++i) {
+      TraceRecord r;
+      r.core = c;
+      r.op.type = i % 5 == 0 ? AccessType::kStore : AccessType::kLoad;
+      r.op.addr = 0x10000000ull + (i * 7 * 64 + c * 64) % (256 * KiB);
+      r.op.gap = static_cast<std::uint32_t>(i % 3);
+      r.op.dependent = i % 11 == 0;
+      t.records.push_back(r);
+    }
+  }
+  return t;
+}
+
+TEST(SharedReplay, SkewedTraceDetachesWithinTheQueueCap) {
+  const std::size_t core0 = workload::kReplayQueueCap + 3000;
+  const Trace t = skewed_trace(core0, 2000);
+  const std::string path = temp_path("skew");
+  std::string err;
+  ASSERT_TRUE(workload::save_v2(t, path, &err, /*chunk_records=*/4096))
+      << err;
+  const std::vector<std::vector<workload::MemOp>> per = t.ops_by_core();
+
+  {
+    // Demux alone, core 1 first: core 0's queue fills to the cap, core 0
+    // detaches, and each core still sees exactly its own ops in order.
+    OpenCounts counts;
+    workload::ReplayDemux demux(counting_opener(path, &counts));
+    workload::MemOp op;
+    for (const workload::MemOp& want : per[1]) {
+      ASSERT_TRUE(demux.pop(1, op));
+      EXPECT_EQ(op.addr, want.addr);
+    }
+    EXPECT_TRUE(demux.detached(0));
+    EXPECT_FALSE(demux.detached(1));
+    EXPECT_EQ(demux.queue_high_water(), workload::kReplayQueueCap);
+    for (std::size_t i = 0; i < per[0].size(); ++i) {
+      ASSERT_TRUE(demux.pop(0, op)) << i;
+      ASSERT_EQ(op.addr, per[0][i].addr) << i;
+      ASSERT_EQ(op.gap, per[0][i].gap) << i;
+      ASSERT_EQ(op.dependent, per[0][i].dependent) << i;
+    }
+    EXPECT_FALSE(demux.pop(0, op));
+    EXPECT_FALSE(demux.pop(1, op));
+    EXPECT_EQ(counts.opens, 2u);  // the shared cursor + core 0's own
+  }
+
+  sim::SystemConfig cfg;
+  cfg.num_cores = 2;
+  cfg.total_l2_bytes = 128 * KiB;
+  cfg.l1.size_bytes = 8 * KiB;
+  cfg.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
+  cfg.per_core_instructions = t.per_core_instructions();
+  workload::Benchmark bench;
+  bench.config.name = "skew";
+
+  // Reference: a private filtering cursor per core.
+  sim::CmpSystem filtered(cfg, bench, [&path](CoreId core, std::uint64_t) {
+    return std::make_unique<workload::FilteredReplayStream>(
+        workload::open_trace_source(path), core);
+  });
+  const sim::RunMetrics want = filtered.run();
+
+  OpenCounts counts;
+  std::vector<const workload::DemuxReplayStream*> streams;
+  sim::CmpSystem shared(
+      cfg, bench,
+      keep_streams(
+          workload::streaming_replay_factory(counting_opener(path, &counts)),
+          &streams));
+  const sim::RunMetrics got = shared.run();
+  expect_same_run(got, want);
+  ASSERT_EQ(streams.size(), 2u);
+  const workload::ReplayDemux& demux = streams[0]->demux();
+  EXPECT_TRUE(demux.detached(0));
+  EXPECT_GT(demux.queue_high_water(), 0u);
+  EXPECT_LE(demux.queue_high_water(), workload::kReplayQueueCap);
+  EXPECT_EQ(counts.opens, 2u);
+  std::remove(path.c_str());
+}
+
+TEST(SharedReplay, CorruptMiddleChunkStopsTheRunWithTheReaderError) {
+  // A flipped payload byte in a middle chunk must stop the replay with the
+  // checksum error — on the shared path and through a mix — instead of
+  // replaying the prefix followed by the repeat-last tail.
+  verify::FuzzScenario sc;
+  sc.seed = 31337;
+  sc.instructions_per_core = 40000;
+  const verify::ScenarioOutcome original = verify::run_scenario(sc);
+  const std::string path = temp_path("midflip");
+  std::string err;
+  ASSERT_TRUE(workload::save_v2(original.trace, path, &err,
+                                /*chunk_records=*/64))
+      << err;
+  auto reader = ChunkedTraceReader::open(path, &err);
+  ASSERT_NE(reader, nullptr) << err;
+  const std::uint32_t chunks = reader->info().chunk_count;
+  ASSERT_GE(chunks, 3u);
+  reader.reset();
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    bytes = ss.str();
+  }
+  // Walk the chunk headers (u32 payload_bytes first) to the middle chunk.
+  std::size_t off = 20;
+  for (std::uint32_t i = 0; i < chunks / 2; ++i) {
+    std::uint32_t payload = 0;
+    for (int b = 0; b < 4; ++b) {
+      payload |= static_cast<std::uint32_t>(
+                     static_cast<unsigned char>(bytes[off + b]))
+                 << (8 * b);
+    }
+    off += 16 + payload;
+  }
+  bytes[off + 16 + 3] ^= 0x5a;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  const auto expect_checksum_stop = [](sim::CmpSystem& sys) {
+    try {
+      (void)sys.run();
+      ADD_FAILURE() << "replay of a corrupt trace ran to completion";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
+          << e.what();
+    }
+  };
+
+  sim::SystemConfig cfg = sc.system_config();
+  cfg.per_core_instructions = original.trace.per_core_instructions();
+  workload::Benchmark bench;
+  bench.config.name = sc.label();
+  {
+    sim::CmpSystem sys(cfg, bench, workload::streaming_replay_factory([&path] {
+                         return workload::open_trace_source(path);
+                       }));
+    expect_checksum_stop(sys);
+  }
+  {
+    std::vector<sim::ProgramSpec> progs(1);
+    progs[0].open = [&path] { return workload::open_trace_source(path); };
+    const sim::MixPlan plan = sim::plan_mix(std::move(progs), cfg.num_cores);
+    sim::SystemConfig mix_cfg = cfg;
+    plan.apply(mix_cfg);
+    sim::CmpSystem sys(mix_cfg, bench, plan.streams);
+    expect_checksum_stop(sys);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

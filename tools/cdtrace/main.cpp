@@ -407,6 +407,15 @@ int cmd_inspect(const Flags& f) {
   return 0;
 }
 
+/// Exit status after streaming `src`: 1 (with the message) if it stopped
+/// on a read error instead of at the end of the trace.
+int source_status(const workload::TraceSource& src) {
+  const std::string err = src.error();
+  if (err.empty()) return 0;
+  std::fprintf(stderr, "cdtrace: %s\n", err.c_str());
+  return 1;
+}
+
 int cmd_head(const Flags& f) {
   if (f.paths.size() != 1) return usage();
   std::string err;
@@ -421,7 +430,7 @@ int cmd_head(const Flags& f) {
                 type_letter(rec.op.type), rec.op.addr, rec.op.gap,
                 rec.op.dependent ? " dep" : "");
   }
-  return 0;
+  return source_status(*src);
 }
 
 int cmd_stats(const Flags& f) {
@@ -463,7 +472,7 @@ int cmd_stats(const Flags& f) {
   for (std::size_t c = 0; c < per_core.size(); ++c) {
     std::printf("core %-3zu      %" PRIu64 " ops\n", c, per_core[c]);
   }
-  return 0;
+  return source_status(*src);
 }
 
 }  // namespace
