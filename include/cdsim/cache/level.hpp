@@ -36,7 +36,6 @@
 #include <functional>
 #include <optional>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "cdsim/cache/tag_array.hpp"
 #include "cdsim/cache/write_buffer.hpp"
 #include "cdsim/coherence/mesi.hpp"
+#include "cdsim/common/addr_map.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/stats.hpp"
@@ -309,11 +309,9 @@ class CacheLevel {
     } else {
       stats_.read_misses.inc();
     }
-    auto it = decayed_lines_.find(line_addr);
-    if (it != decayed_lines_.end()) {
+    if (decayed_lines_.erase(line_addr)) {
       stats_.decay_induced_misses.inc();
       stats_.decay_induced_by_region[(line_addr >> 40) & 7].inc();
-      decayed_lines_.erase(it);
     }
   }
 
@@ -339,13 +337,8 @@ class CacheLevel {
   void age_decay_attribution(Cycle now) {
     if (decayed_lines_.size() < attribution_purge_at_) return;
     const Cycle window = kAttributionWindowIntervals * dcfg_.decay_time;
-    for (auto it = decayed_lines_.begin(); it != decayed_lines_.end();) {
-      if (now - it->second > window) {
-        it = decayed_lines_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    decayed_lines_.erase_if(
+        [now, window](Addr, Cycle at) { return now - at > window; });
     attribution_purge_at_ =
         std::max(kAttributionMinEntries, decayed_lines_.size() * 2);
   }
@@ -376,7 +369,7 @@ class CacheLevel {
   /// later misses to the technique. Entries are consumed by the first
   /// subsequent miss (note_miss) or install of the same line; stale entries
   /// are purged by age_decay_attribution.
-  std::unordered_map<Addr, Cycle> decayed_lines_;
+  AddrMap<Cycle> decayed_lines_;
   /// Purge when the map reaches this size (amortizes the O(size) scan).
   std::size_t attribution_purge_at_ = kAttributionMinEntries;
 

@@ -27,15 +27,23 @@
 //   * for_each_valid visits lines in ascending index (set-major) order;
 //   * install stamps MRU with a monotonically increasing clock;
 //   * invalidate clears validity only — the payload is NOT reset.
+//
+// Storage: all four arrays start in their value-initialized state, which
+// for every payload must be all-zero bytes (checked at construction), so
+// they are ZeroedVectors (common/zeroed_vector.hpp): allocated by calloc
+// and never written by the constructor. Building a system with a
+// multi-megabyte cache therefore neither writes nor faults in its line
+// arrays; a page is first touched by the access that first uses one of
+// its lines.
 
 #include <bit>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "cdsim/cache/geometry.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/types.hpp"
+#include "cdsim/common/zeroed_vector.hpp"
 
 namespace cdsim::cache {
 
@@ -90,10 +98,13 @@ class TagArray {
  public:
   explicit TagArray(const Geometry& geo)
       : geo_(geo),
-        valid_((geo.num_lines() + 63) / 64, 0),
-        tags_(geo.num_lines(), 0),
-        lru_stamp_(geo.num_lines(), 0),
-        payloads_(geo.num_lines()) {}
+        valid_((geo.num_lines() + 63) / 64),
+        tags_(geo.num_lines()),
+        lru_stamp_(geo.num_lines()),
+        payloads_(geo.num_lines()) {
+    CDSIM_ASSERT_MSG(value_init_is_zero<Payload>(),
+                     "TagArray payloads must value-initialize to zero bytes");
+  }
 
   using Ref = LineRef<Payload>;
 
@@ -265,10 +276,10 @@ class TagArray {
   }
 
   Geometry geo_;
-  std::vector<std::uint64_t> valid_;     ///< Packed validity bitmap.
-  std::vector<Addr> tags_;               ///< Full line address per way.
-  std::vector<std::uint64_t> lru_stamp_; ///< True-LRU monotonic stamps.
-  std::vector<Payload> payloads_;        ///< Controller metadata per way.
+  ZeroedVector<std::uint64_t> valid_;      ///< Packed validity bitmap.
+  ZeroedVector<Addr> tags_;                ///< Full line address per way.
+  ZeroedVector<std::uint64_t> lru_stamp_;  ///< True-LRU monotonic stamps.
+  ZeroedVector<Payload> payloads_;         ///< Controller metadata per way.
   std::uint64_t clock_ = 0;
 };
 

@@ -30,9 +30,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "cdsim/coherence/mesi.hpp"
+#include "cdsim/common/addr_map.hpp"
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/common/types.hpp"
@@ -69,6 +69,16 @@ struct DirectoryStats {
 /// snooped when, over which links) lives in noc::DirectoryMesh; this class
 /// owns the entries, the bit algebra and the protocol-agreement checks, so
 /// it is unit-testable without a mesh.
+///
+/// Entry references: entries live in a flat AddrMap, where an insert may
+/// move every entry and an erase shifts its neighbours. A DirectoryEntry&
+/// from lookup() (or a pointer from find()) is therefore valid only until
+/// the next call that can insert or erase one — lookup() of an untracked
+/// line, note_clean_drop(), writeback_granted(), drop_if_uncached() — and
+/// a snoop or an on_grant hook can reach note_clean_drop() on any line.
+/// Callers take the
+/// reference after the last such call and keep it only across
+/// side-effect-free work (snoop_targets, record_probe, Snooper::probe).
 class Directory {
  public:
   explicit Directory(std::uint32_t num_cores) : num_cores_(num_cores) {
@@ -78,15 +88,17 @@ class Directory {
 
   [[nodiscard]] std::uint32_t num_cores() const noexcept { return num_cores_; }
 
-  /// Entry for `line`, created on first use.
+  /// Entry for `line`, created on first use. The reference is valid only
+  /// until the next call that can insert or erase an entry (see the class
+  /// comment).
   DirectoryEntry& lookup(Addr line) {
     stats_.lookups.inc();
     return map_[line];
   }
-  /// Read-only find (nullptr when the line was never cached).
+  /// Read-only find (nullptr when the line was never cached); the same
+  /// validity rule as lookup().
   [[nodiscard]] const DirectoryEntry* find(Addr line) const {
-    const auto it = map_.find(line);
-    return it == map_.end() ? nullptr : &it->second;
+    return map_.find(line);
   }
   [[nodiscard]] std::size_t entries() const noexcept { return map_.size(); }
 
@@ -104,10 +116,10 @@ class Directory {
   /// data traffic. Legal iff the directory agrees the copy existed and no
   /// write-back was owed; asserts that agreement, then clears the bit.
   void note_clean_drop(CoreId core, Addr line) {
-    auto it = map_.find(line);
-    CDSIM_ASSERT_MSG(it != map_.end() && it->second.tracked(core),
+    DirectoryEntry* found = map_.find(line);
+    CDSIM_ASSERT_MSG(found != nullptr && found->tracked(core),
                      "clean drop of a line the directory does not track");
-    DirectoryEntry& e = it->second;
+    DirectoryEntry& e = *found;
     if (e.owner == core) {
       // The owner's copy was clean (E, or TC entered from E): had it been
       // dirty the controller would have taken the write-back path instead.
@@ -117,7 +129,7 @@ class Directory {
       stats_.clean_drops.inc();
     }
     e.sharers &= ~(std::uint64_t{1} << core);
-    if (e.uncached()) map_.erase(it);
+    if (e.uncached()) map_.erase(line);
   }
 
   /// A write-back from `core` reached its home grant (and memory). Clears
@@ -125,9 +137,9 @@ class Directory {
   /// with `core` — a concurrent upgrade may have moved it on (the "late
   /// write-back" of directory protocols).
   void writeback_granted(CoreId core, Addr line) {
-    auto it = map_.find(line);
-    if (it == map_.end()) return;
-    DirectoryEntry& e = it->second;
+    DirectoryEntry* found = map_.find(line);
+    if (found == nullptr) return;
+    DirectoryEntry& e = *found;
     if (e.owner == core) {
       e.owner = kNoCore;
       stats_.owner_writebacks.inc();
@@ -135,7 +147,7 @@ class Directory {
       stats_.late_writebacks.inc();
     }
     e.sharers &= ~(std::uint64_t{1} << core);
-    if (e.uncached()) map_.erase(it);
+    if (e.uncached()) map_.erase(line);
   }
 
   /// Records `core`'s post-grant probed state into the entry: this is the
@@ -170,8 +182,8 @@ class Directory {
   }
 
   void drop_if_uncached(Addr line) {
-    const auto it = map_.find(line);
-    if (it != map_.end() && it->second.uncached()) map_.erase(it);
+    const DirectoryEntry* e = map_.find(line);
+    if (e != nullptr && e->uncached()) map_.erase(line);
   }
 
   [[nodiscard]] DirectoryStats& stats() noexcept { return stats_; }
@@ -179,7 +191,7 @@ class Directory {
 
  private:
   std::uint32_t num_cores_ = 0;
-  std::unordered_map<Addr, DirectoryEntry> map_;
+  AddrMap<DirectoryEntry> map_;
   DirectoryStats stats_;
 };
 

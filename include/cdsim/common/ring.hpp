@@ -47,6 +47,12 @@ class FifoRing {
     return buf_[head_];
   }
 
+  /// The i-th element from the front (0 = front()).
+  [[nodiscard]] T& operator[](std::size_t i) {
+    CDSIM_ASSERT(i < size_);
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
   void pop_front() {
     CDSIM_ASSERT(size_ > 0);
     buf_[head_] = T{};  // drop captures/payload now, not at overwrite time

@@ -18,8 +18,8 @@
 // issue-to-data latency feeds the AMAT histogram.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <vector>
 
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/small_fn.hpp"
@@ -139,10 +139,16 @@ class CoreModel {
   void try_issue();        ///< Attempts to issue the pending operation.
   void park(StallReason r); ///< Records a stall; resumed by wake().
   void wake();             ///< Re-attempts issue after a resource freed.
-  void on_load_done(std::size_t slot, Cycle done);
+  void on_load_done(std::uint64_t pos, std::uint64_t seq, std::uint8_t chain,
+                    Cycle done);
   void finish();
 
   [[nodiscard]] bool rob_blocked() const;
+
+  [[nodiscard]] OutstandingLoad& load_at(std::uint64_t pos) {
+    return outstanding_[pos & (outstanding_.size() - 1)];
+  }
+  void push_load(const OutstandingLoad& l);
 
   EventQueue& eq_;
   CoreConfig cfg_;
@@ -164,10 +170,15 @@ class CoreModel {
   std::uint32_t gap_shift_ = 0;
   std::uint64_t gap_rem_ = 0;
 
-  // Outstanding loads in program order; slots index into this deque's
-  // logical sequence (we keep completed entries until they are the oldest,
-  // mirroring ROB retirement).
-  std::deque<OutstandingLoad> outstanding_;
+  // Outstanding loads in program order, as a power-of-two ring indexed by
+  // load position: entry `pos` lives at outstanding_[pos & (size - 1)] for
+  // pos in [load_head_, load_tail_). Completed entries stay until they are
+  // the oldest, mirroring ROB retirement. A completion callback names its
+  // entry by position, which survives the ring's growth (doubling, on
+  // demand only: most cores never need more than a few dozen entries).
+  std::vector<OutstandingLoad> outstanding_;
+  std::uint64_t load_head_ = 0;
+  std::uint64_t load_tail_ = 0;
   std::uint64_t outstanding_count_ = 0;
   std::uint64_t next_load_seq_ = 1;
   /// Per-dependence-chain tracking: sequence id and in-flight flag of the

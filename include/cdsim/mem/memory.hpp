@@ -22,14 +22,15 @@
 // a younger read can never bypass an older queued write and observe the
 // pre-write version. See DESIGN.md §9.
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "cdsim/common/assert.hpp"
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/ring.hpp"
 #include "cdsim/common/small_fn.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/common/types.hpp"
@@ -147,12 +148,25 @@ class DramController {
   /// and one per bank (access spans named rd/wr × hit/miss/conflict).
   void set_trace(obs::TraceRecorder* rec);
 
+  /// Where a line lives: its channel, its bank within the channel, and
+  /// the row within the bank (see decode()).
+  struct Decoded {
+    std::uint32_t channel = 0;
+    std::uint32_t bank = 0;
+    std::uint64_t row = 0;
+  };
+
+  /// Decodes `line` as the controller does on arrival (test hook: the
+  /// scheduler only ever sees the Decoded stored with each request).
+  [[nodiscard]] Decoded decode(Addr line) const noexcept;
+
  private:
   struct Request {
     Addr line = 0;
     std::uint32_t bytes = 0;
     bool is_write = false;
     std::uint32_t bypassed = 0;  ///< FR-FCFS bypass count (oldest only).
+    Decoded where;               ///< decode(line), filled in by arrive().
     MemCallback cb;
   };
   struct Bank {
@@ -160,21 +174,22 @@ class DramController {
     Cycle ready = 0;             ///< Bank busy until here (incl. refresh).
   };
   struct Channel {
-    std::deque<Request> queue;  ///< The scheduler's bounded window.
-    std::deque<Request> spill;  ///< FIFO overflow beyond queue_depth.
+    /// The scheduler's bounded window (<= queue_depth, in arrival order).
+    std::vector<Request> queue;
+    FifoRing<Request> spill;  ///< FIFO overflow beyond queue_depth.
     std::vector<Bank> banks;
+    /// Completion callback of the command in service: kept here so the
+    /// completion event captures only (this, channel, cycle) and stays
+    /// inside the EventQueue's inline callback budget.
+    MemCallback in_service;
     Cycle data_free = 0;  ///< Channel data bus busy until here.
     bool busy = false;    ///< A command is in service.
     std::uint64_t refreshes_applied = 0;
   };
-  struct Decoded {
-    std::uint32_t channel = 0;
-    std::uint32_t bank = 0;
-    std::uint64_t row = 0;
-  };
 
-  [[nodiscard]] Decoded decode(Addr line) const noexcept;
   [[nodiscard]] Cycle transfer_cycles(std::uint32_t bytes) const noexcept;
+  std::uint32_t park(Request req);
+  Request unpark(std::uint32_t slot);
   void issue(Cycle start, Request req);
   void arrive(Request req);
   void apply_refresh(std::size_t ci, Cycle now);
@@ -185,6 +200,13 @@ class DramController {
   /// std::deque, not vector: Channel holds move-only request queues and a
   /// deque grows without relocating (no noexcept-move requirement).
   std::deque<Channel> channels_;
+  /// Requests waiting on an event — issued ahead of their arrival cycle,
+  /// or forwarded reads awaiting their completion — parked here so the
+  /// event captures only a slot index and fits the EventQueue's inline
+  /// callback budget. Freed slots are reused, so the pool stops growing at
+  /// the high-water mark.
+  std::vector<Request> parked_;
+  std::vector<std::uint32_t> parked_free_;
   DramStats stats_;
   obs::TraceRecorder* trace_ = nullptr;
   std::vector<obs::TrackId> channel_tracks_;  ///< [channel]
@@ -333,37 +355,42 @@ class MemoryController {
     const Cycle len = transfer_cycles(bytes);
     // Intervals that ended at or before the current event time can never
     // host a future claim (every in-tree issue point is >= now), so the
-    // ledger stays O(outstanding transfers), not O(run length).
+    // ledger stays O(outstanding transfers), not O(run length). Intervals
+    // are disjoint and sorted, so the ended ones are a prefix.
     const Cycle now = eq_.now();
-    while (!busy_.empty() && busy_.begin()->second <= now) {
-      busy_.erase(busy_.begin());
-    }
+    std::size_t ended = 0;
+    while (ended < busy_.size() && busy_[ended].end <= now) ++ended;
+    busy_.erase(busy_.begin(),
+                busy_.begin() + static_cast<std::ptrdiff_t>(ended));
     Cycle begin = start;
-    auto it = busy_.upper_bound(begin);
-    if (it != busy_.begin()) {
-      const auto prev = std::prev(it);
-      if (prev->second > begin) begin = prev->second;
+    auto it = std::upper_bound(
+        busy_.begin(), busy_.end(), begin,
+        [](Cycle c, const Busy& b) { return c < b.begin; });
+    if (it != busy_.begin() && std::prev(it)->end > begin) {
+      begin = std::prev(it)->end;
     }
-    while (it != busy_.end() && it->first < begin + len) {
-      if (it->second > begin) begin = it->second;
+    while (it != busy_.end() && it->begin < begin + len) {
+      if (it->end > begin) begin = it->end;
       ++it;
     }
-    // Insert [begin, begin + len), coalescing with exact neighbours.
-    Cycle nb = begin;
-    Cycle ne = begin + len;
-    const auto nxt = busy_.lower_bound(begin);
-    if (nxt != busy_.begin()) {
-      const auto prev = std::prev(nxt);
-      if (prev->second == nb) {
-        nb = prev->first;
-        busy_.erase(prev);
-      }
-    }
-    if (nxt != busy_.end() && nxt->first == ne) {
-      ne = nxt->second;
+    // Insert [begin, begin + len), coalescing with exact neighbours. No
+    // interval starts at `begin` (it would overlap the claim).
+    const Cycle end = begin + len;
+    const auto nxt = std::lower_bound(
+        busy_.begin(), busy_.end(), begin,
+        [](const Busy& b, Cycle c) { return b.begin < c; });
+    const bool join_prev = nxt != busy_.begin() && std::prev(nxt)->end == begin;
+    const bool join_next = nxt != busy_.end() && nxt->begin == end;
+    if (join_prev && join_next) {
+      std::prev(nxt)->end = nxt->end;
       busy_.erase(nxt);
+    } else if (join_prev) {
+      std::prev(nxt)->end = end;
+    } else if (join_next) {
+      nxt->begin = begin;
+    } else {
+      busy_.insert(nxt, Busy{begin, end});
     }
-    busy_[nb] = ne;
     return begin;
   }
 
@@ -372,8 +399,15 @@ class MemoryController {
   EventQueue& eq_;
   MemoryConfig cfg_;
   std::unique_ptr<DramController> dram_;  ///< kDram only (else null).
-  /// Flat-channel busy intervals [begin, end), coalesced, pruned at now().
-  std::map<Cycle, Cycle> busy_;
+  /// A flat-channel busy interval [begin, end).
+  struct Busy {
+    Cycle begin = 0;
+    Cycle end = 0;
+  };
+  /// Busy intervals sorted by begin, disjoint, coalesced, pruned at now().
+  /// A vector: the ledger holds a handful of intervals and keeps its
+  /// capacity, so claims allocate nothing once it has warmed up.
+  std::vector<Busy> busy_;
   Counter reads_, writes_, bytes_read_, bytes_written_;
 };
 

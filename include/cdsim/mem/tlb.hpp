@@ -31,7 +31,11 @@ namespace cdsim::mem {
 /// Fully associative, true-LRU page-translation buffer.
 class Tlb {
  public:
-  explicit Tlb(const TlbConfig& cfg) : cfg_(cfg), entries_(cfg.entries) {
+  explicit Tlb(const TlbConfig& cfg)
+      : cfg_(cfg),
+        entries_(cfg.entries),
+        page_shift_(is_pow2(cfg.page_bytes) ? log2_pow2(cfg.page_bytes)
+                                            : kNoShift) {
     CDSIM_ASSERT(cfg.entries >= 1);
     CDSIM_ASSERT(cfg.page_bytes >= 1);
   }
@@ -39,27 +43,37 @@ class Tlb {
   /// Looks up the page of `addr`; refills the LRU way on a miss.
   /// Returns true on a hit.
   bool access(Addr addr) {
-    const Addr page = addr / cfg_.page_bytes;
+    const Addr page = page_shift_ != kNoShift ? addr >> page_shift_
+                                              : addr / cfg_.page_bytes;
     ++tick_;
-    for (Entry& e : entries_) {
+    // A valid page sits in at most one entry, so checking the last entry
+    // touched first finds the same entry the scan would (pages repeat in
+    // runs: most accesses hit it).
+    if (Entry& m = entries_[mru_]; m.valid && m.page == page) {
+      m.last_use = tick_;
+      hits_.inc();
+      return true;
+    }
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
       if (e.valid && e.page == page) {
         e.last_use = tick_;
         hits_.inc();
+        mru_ = i;
         return true;
       }
     }
     misses_.inc();
-    Entry* victim = &entries_.front();
-    for (Entry& e : entries_) {
-      if (!e.valid) {
-        victim = &e;
+    std::size_t victim = 0;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (!entries_[i].valid) {
+        victim = i;
         break;
       }
-      if (e.last_use < victim->last_use) victim = &e;
+      if (entries_[i].last_use < entries_[victim].last_use) victim = i;
     }
-    victim->valid = true;
-    victim->page = page;
-    victim->last_use = tick_;
+    entries_[victim] = Entry{page, tick_, true};
+    mru_ = victim;
     return false;
   }
 
@@ -75,8 +89,15 @@ class Tlb {
     bool valid = false;
   };
 
+  /// page_shift_ when the page size is not a power of two.
+  static constexpr unsigned kNoShift = 64;
+
   TlbConfig cfg_;
   std::vector<Entry> entries_;
+  /// log2(page_bytes) for power-of-two pages (every in-tree config): the
+  /// page number is a shift, not a 64-bit division, on every access.
+  unsigned page_shift_ = kNoShift;
+  std::size_t mru_ = 0;  ///< Entry of the last hit or refill.
   std::uint64_t tick_ = 0;
   Counter hits_, misses_;
 };
@@ -156,10 +177,14 @@ class TlbPort final : public core::LoadStorePort {
     // Walked loads parked on a full MSHR retry first (FIFO order; a retry
     // that rejects again re-parks into the fresh deque). The core's own
     // waiter is then woken regardless — a spurious wake is benign, the
-    // core re-checks and parks again.
-    std::deque<ParkedLoad> retry;
-    retry.swap(parked_);
-    for (ParkedLoad& p : retry) issue_after_walk(p.addr, p.id);
+    // core re-checks and parks again. This runs on every freed resource,
+    // so the swap (a deque construction allocates) happens only when a
+    // walked load is actually parked.
+    if (!parked_.empty()) {
+      std::deque<ParkedLoad> retry;
+      retry.swap(parked_);
+      for (ParkedLoad& p : retry) issue_after_walk(p.addr, p.id);
+    }
     if (core_waiter_) core_waiter_();
   }
 

@@ -40,6 +40,7 @@
 #include "cdsim/cache/tag_array.hpp"
 #include "cdsim/coherence/mesi.hpp"
 #include "cdsim/coherence/protocol.hpp"
+#include "cdsim/common/addr_map.hpp"
 #include "cdsim/common/event_queue.hpp"
 #include "cdsim/common/stats.hpp"
 #include "cdsim/decay/sweeper.hpp"
@@ -189,8 +190,6 @@ class L2Cache final : public noc::Snooper {
     decay::LineDecayState decay;
     bool fetching = false;   ///< Tag/state installed; data still in flight.
     bool upgrading = false;  ///< BusUpgr queued for this S line.
-    /// Cancellation token for a TD turn-off write-back queued on the bus.
-    std::shared_ptr<bool> td_wb_token;
   };
   using Level = cache::CacheLevel<Payload>;
   using LineT = cache::LineRef<Payload>;
@@ -211,7 +210,14 @@ class L2Cache final : public noc::Snooper {
   /// Queues the TD flush write-back (shared tail of the dirty and owned
   /// turn-off paths).
   void issue_turnoff_writeback(Addr line_addr);
-  void cancel_td_wb(Payload& p);
+  /// Cancels the TD turn-off write-back of `line_addr`, if one is live:
+  /// its queued BusUpgr / write-back will fail validation.
+  void cancel_td_wb(Addr line_addr) { td_tokens_.erase(line_addr); }
+  /// Whether `token` is still the live turn-off of `line_addr`.
+  [[nodiscard]] bool td_wb_live(Addr line_addr, std::uint64_t token) const {
+    const std::uint64_t* live = td_tokens_.find(line_addr);
+    return live != nullptr && *live == token;
+  }
 
   EventQueue& eq_;
   L2Config cfg_;
@@ -225,6 +231,14 @@ class L2Cache final : public noc::Snooper {
   /// The level-agnostic engine: tags, MSHRs, decay machinery, stats.
   Level level_;
   Counter upgrades_;
+  /// Cancellation tokens of the TD turn-offs in flight: line -> token of
+  /// its live turn-off. A turn-off's BusUpgr and write-back validate only
+  /// while their token is still the line's live one; a snoop flush or an
+  /// eviction that finishes the line first erases it (cancel_td_wb). A
+  /// side table, not a per-line field: few turn-offs are in flight at a
+  /// time, and per-line payloads stay small and trivially copyable.
+  AddrMap<std::uint64_t> td_tokens_;
+  std::uint64_t next_td_token_ = 0;
 };
 
 }  // namespace cdsim::sim

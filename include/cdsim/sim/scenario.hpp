@@ -15,15 +15,19 @@
 // stretch or shrink budgets — the op sequence each core draws is the
 // recorded one, so runs stay bit-deterministic.
 //
-// Exact replay of one trace on its own machine goes through
+// A program whose recorded cores are each replayed by exactly one machine
+// core (its machine-core count equals its trace-core count — always the
+// case for one trace on its own core count) replays through
 // workload::streaming_replay_factory: one shared cursor per system,
-// demultiplexed into bounded per-core queues (trace_source.hpp). A mix
-// instead gives every machine core a private cursor (FilteredReplayStream
-// over its own opener call — the same primitive a detached core of the
-// shared path falls back to): one trace core may run on several machine
-// cores, and weights make cores drift arbitrarily far apart, so a shared
-// cursor would detach them all anyway. An M-core mix of multi-GB .cdt v2
-// traces therefore replays in O(M x chunk) memory. A trace that fails
+// demultiplexed into bounded per-core queues (trace_source.hpp), so each
+// chunk is decoded once. Any other program gives each of its machine cores
+// a private cursor (FilteredReplayStream over its own opener call — the
+// same primitive a detached core of the shared path falls back to): one
+// trace core then runs on several machine cores (or on none), which a
+// shared cursor cannot serve. Weights never change which path a program
+// takes: a core that drifts far ahead of its neighbours detaches from the
+// shared cursor. Either way an M-core mix of multi-GB .cdt v2 traces
+// replays in O(M x chunk) memory. A trace that fails
 // mid-replay (a corrupt chunk) throws std::runtime_error out of
 // CmpSystem::run with the reader's message; it is never replayed as the
 // repeat-last tail.
@@ -38,8 +42,9 @@
 namespace cdsim::sim {
 
 /// One program of a mix: an opener that yields a fresh streaming cursor
-/// over the program's trace (called once per core per pass), plus a
-/// rate-mode weight.
+/// over the program's trace (called once per pass for a program on the
+/// shared cursor, once per core per pass otherwise), plus a rate-mode
+/// weight.
 struct ProgramSpec {
   workload::TraceOpener open;
   std::string name = "prog";

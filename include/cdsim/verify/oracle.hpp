@@ -29,10 +29,10 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "cdsim/common/addr_map.hpp"
 #include "cdsim/verify/observer.hpp"
 
 namespace cdsim::verify {
@@ -107,17 +107,17 @@ class DifferentialChecker final : public AccessObserver {
   Version next_version_ = 0;
 
   /// Flat reference model: last bus-serialized write per line.
-  std::unordered_map<Addr, Version> oracle_;
+  AddrMap<Version> oracle_;
   /// Shadow of memory content (write-backs and memory-updating flushes).
-  std::unordered_map<Addr, Version> mem_;
+  AddrMap<Version> mem_;
   /// Shadow of the shared L3 home banks (three-level hierarchy): lines the
   /// L3 currently holds, whether absorbed dirty from a write-back or
   /// installed clean from memory. A memory-side fill reads this shadow
   /// first — exactly the lookup order of the real fabric — which is how
   /// write-versions thread through all three levels.
-  std::unordered_map<Addr, Version> l3_;
+  AddrMap<Version> l3_;
   /// Shadow of each L2 slice's valid copies.
-  std::vector<std::unordered_map<Addr, Version>> copy_;
+  std::vector<AddrMap<Version>> copy_;
   /// Write-backs initiated but not yet resolved, FIFO per (core, line).
   /// Ordered map on the exact pair: write-backs are rare, and no key
   /// packing means no assumption about the address bit width (user traces

@@ -89,11 +89,26 @@ void CoreModel::advance() {
   eq_.schedule_in(delay, [this] { try_issue(); });
 }
 
+void CoreModel::push_load(const OutstandingLoad& l) {
+  if (load_tail_ - load_head_ == outstanding_.size()) {
+    // Full (or never used): double, re-placing each live entry by its
+    // position under the wider mask.
+    std::vector<OutstandingLoad> bigger(
+        outstanding_.empty() ? 8 : outstanding_.size() * 2);
+    for (std::uint64_t p = load_head_; p != load_tail_; ++p) {
+      bigger[p & (bigger.size() - 1)] = load_at(p);
+    }
+    outstanding_ = std::move(bigger);
+  }
+  load_at(load_tail_++) = l;
+}
+
 bool CoreModel::rob_blocked() const {
-  if (outstanding_.empty()) return false;
+  if (load_head_ == load_tail_) return false;
   // Oldest incomplete load bounds the window (completed fronts were
   // retired in try_issue before this check).
-  const OutstandingLoad& oldest = outstanding_.front();
+  const OutstandingLoad& oldest =
+      outstanding_[load_head_ & (outstanding_.size() - 1)];
   return committed_ > oldest.instr_no &&
          committed_ - oldest.instr_no > cfg_.rob_window;
 }
@@ -103,8 +118,8 @@ void CoreModel::try_issue() {
   CDSIM_ASSERT(have_op_);
 
   // Retire completed loads in program order (ROB head drains).
-  while (!outstanding_.empty() && outstanding_.front().completed) {
-    outstanding_.pop_front();
+  while (load_head_ != load_tail_ && load_at(load_head_).completed) {
+    ++load_head_;
   }
 
   const bool is_load = op_.type != AccessType::kStore;
@@ -122,25 +137,15 @@ void CoreModel::try_issue() {
       park(StallReason::kRob);
       return;
     }
-    outstanding_.push_back(
-        OutstandingLoad{committed_, eq_.now(), /*completed=*/false});
-    OutstandingLoad* slot = &outstanding_.back();
+    const std::uint64_t pos = load_tail_;
+    push_load(OutstandingLoad{committed_, eq_.now(), /*completed=*/false});
     const std::uint64_t seq = next_load_seq_++;
     const core::LoadOutcome out =
-        port_.try_load(op_.addr, [this, slot, seq, chain](Cycle t) {
-          slot->completed = true;
-          --outstanding_count_;
-          load_lat_.add(t >= slot->issued_at ? t - slot->issued_at : 0);
-          if (seq == chain_last_seq_[chain]) chain_outstanding_[chain] = false;
-          if (done_) return;
-          if (committed_ >= budget_ && !have_op_ && outstanding_count_ == 0) {
-            finish();
-            return;
-          }
-          wake();
+        port_.try_load(op_.addr, [this, pos, seq, chain](Cycle t) {
+          on_load_done(pos, seq, chain, t);
         });
     if (!out.accepted) {
-      outstanding_.pop_back();
+      --load_tail_;
       park(StallReason::kPort);  // woken by the resources-freed callback
       return;
     }
@@ -148,7 +153,7 @@ void CoreModel::try_issue() {
     if (out.completed) {
       // Synchronous hit: a few cycles of latency, fully hidden by the
       // out-of-order window. No outstanding tracking needed.
-      outstanding_.pop_back();
+      --load_tail_;
       load_lat_.add(out.latency);
     } else {
       ++outstanding_count_;
@@ -166,6 +171,21 @@ void CoreModel::try_issue() {
   ++committed_;
   have_op_ = false;
   advance();
+}
+
+void CoreModel::on_load_done(std::uint64_t pos, std::uint64_t seq,
+                             std::uint8_t chain, Cycle done) {
+  OutstandingLoad& slot = load_at(pos);
+  slot.completed = true;
+  --outstanding_count_;
+  load_lat_.add(done >= slot.issued_at ? done - slot.issued_at : 0);
+  if (seq == chain_last_seq_[chain]) chain_outstanding_[chain] = false;
+  if (done_) return;
+  if (committed_ >= budget_ && !have_op_ && outstanding_count_ == 0) {
+    finish();
+    return;
+  }
+  wake();
 }
 
 void CoreModel::park(StallReason r) {

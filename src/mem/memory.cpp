@@ -1,6 +1,6 @@
 // The banked-DRAM engine behind mem::MemoryController (model == kDram).
 //
-// Determinism: all scheduling state lives in std::deque / std::vector and
+// Determinism: all scheduling state lives in vectors and FIFO rings and
 // every decision is a pure function of (cycle, queue order); completions go
 // through the EventQueue, so two runs of the same trace produce identical
 // service orders. Refresh is applied *lazily* — due refreshes are caught up
@@ -27,6 +27,7 @@ DramController::DramController(EventQueue& eq, const MemoryConfig& cfg)
   CDSIM_ASSERT(d.queue_depth >= 1);
   channels_.resize(d.channels);
   for (Channel& ch : channels_) {
+    ch.queue.reserve(d.queue_depth);
     ch.banks.resize(static_cast<std::size_t>(d.ranks_per_channel) *
                     d.banks_per_rank);
   }
@@ -89,13 +90,29 @@ void DramController::set_trace(obs::TraceRecorder* rec) {
   }
 }
 
+std::uint32_t DramController::park(Request req) {
+  if (parked_free_.empty()) {
+    parked_.push_back(std::move(req));
+    return static_cast<std::uint32_t>(parked_.size() - 1);
+  }
+  const std::uint32_t slot = parked_free_.back();
+  parked_free_.pop_back();
+  parked_[slot] = std::move(req);
+  return slot;
+}
+
+DramController::Request DramController::unpark(std::uint32_t slot) {
+  Request req = std::move(parked_[slot]);
+  parked_free_.push_back(slot);
+  return req;
+}
+
 void DramController::issue(Cycle start, Request req) {
   // Requests are handed over at their channel-arrival cycle; fabrics issue
   // them ahead of time (e.g. the bus at grant + address_phase).
   if (start > eq_.now()) {
-    eq_.schedule_at(start, [this, req = std::move(req)]() mutable {
-      arrive(std::move(req));
-    });
+    const std::uint32_t slot = park(std::move(req));
+    eq_.schedule_at(start, [this, slot] { arrive(unpark(slot)); });
   } else {
     arrive(std::move(req));
   }
@@ -103,7 +120,9 @@ void DramController::issue(Cycle start, Request req) {
 
 void DramController::arrive(Request req) {
   const prof::ScopedPhase prof_scope(prof::Phase::kDram);
-  const Decoded d = decode(req.line);
+  // Decoded once here; the FR-FCFS scan and the service use req.where.
+  req.where = decode(req.line);
+  const Decoded& d = req.where;
   Channel& ch = channels_[d.channel];
   if (!req.is_write) {
     // Write forwarding — the oracle-threading invariant: an older queued
@@ -112,9 +131,10 @@ void DramController::arrive(Request req) {
     const auto matches = [&req](const Request& q) {
       return q.is_write && q.line == req.line;
     };
-    const bool fwd =
-        std::any_of(ch.queue.begin(), ch.queue.end(), matches) ||
-        std::any_of(ch.spill.begin(), ch.spill.end(), matches);
+    bool fwd = std::any_of(ch.queue.begin(), ch.queue.end(), matches);
+    for (std::size_t i = 0; !fwd && i < ch.spill.size(); ++i) {
+      fwd = matches(ch.spill[i]);
+    }
     if (fwd) {
       ++stats_.write_forwards;
       if (trace_ != nullptr) {
@@ -124,19 +144,19 @@ void DramController::arrive(Request req) {
       const Cycle done =
           eq_.now() + cfg_.dram.t_cas + transfer_cycles(req.bytes);
       if (req.cb) {
-        eq_.schedule_at(done, [cb = std::move(req.cb), done]() mutable {
-          cb(done);
-        });
+        const std::uint32_t slot = park(std::move(req));
+        eq_.schedule_at(done, [this, slot, done] { unpark(slot).cb(done); });
       }
       return;
     }
   }
+  const std::uint32_t ci = d.channel;
   if (ch.queue.size() < cfg_.dram.queue_depth) {
     ch.queue.push_back(std::move(req));
   } else {
     ch.spill.push_back(std::move(req));
   }
-  pump(d.channel);
+  pump(ci);
 }
 
 void DramController::apply_refresh(std::size_t ci, Cycle now) {
@@ -179,7 +199,7 @@ void DramController::pump(std::size_t ci) {
   std::size_t pick = 0;
   if (ch.queue.front().bypassed < cfg_.dram.starvation_limit) {
     for (std::size_t i = 0; i < ch.queue.size(); ++i) {
-      const Decoded d = decode(ch.queue[i].line);
+      const Decoded& d = ch.queue[i].where;
       if (ch.banks[d.bank].open_row == static_cast<std::int64_t>(d.row)) {
         pick = i;
         break;
@@ -191,7 +211,7 @@ void DramController::pump(std::size_t ci) {
   Request req = std::move(ch.queue[pick]);
   ch.queue.erase(ch.queue.begin() +
                  static_cast<std::ptrdiff_t>(pick));
-  const Decoded d = decode(req.line);
+  const Decoded& d = req.where;
   Bank& bank = ch.banks[d.bank];
   const DramConfig& dc = cfg_.dram;
 
@@ -230,8 +250,11 @@ void DramController::pump(std::size_t ci) {
   // reopens the scheduler. (Bank-level overlap is folded into the access
   // latency — see the class comment.)
   ch.busy = true;
-  eq_.schedule_at(done, [this, ci, done, cb = std::move(req.cb)]() mutable {
-    channels_[ci].busy = false;
+  ch.in_service = std::move(req.cb);
+  eq_.schedule_at(done, [this, ci, done] {
+    Channel& served = channels_[ci];
+    served.busy = false;
+    const MemCallback cb = std::move(served.in_service);
     if (cb) cb(done);
     pump(ci);
   });

@@ -106,10 +106,9 @@ void DirectoryMesh::home_arrive(TxId id) {
   // not the unblocking write-back joins the queue's tail.
   Tx& t = tx_pool_[id];
   if (t.kind != BusTxKind::kWriteBack) {
-    const auto it = deferred_.find(t.line);
-    if (it != deferred_.end()) {
+    if (DefList* q = deferred_.find(t.line)) {
       dir_.stats().deferrals.inc();
-      defer_append(it->second, id);
+      defer_append(*q, id);
       return;
     }
   }
@@ -220,8 +219,9 @@ void DirectoryMesh::process(TxId id) {
                                   /*to_l3=*/l3_ != nullptr);
     }
   } else {
-    coherence::DirectoryEntry& e = dir_.lookup(line);
-    targets = dir_.snoop_targets(e, tx.requester);
+    // No entry reference survives the snoops below: a snoop can drop other
+    // lines (note_clean_drop), which moves entries of the flat map.
+    targets = dir_.snoop_targets(dir_.lookup(line), tx.requester);
 
     // A BusUpgr issued while the requester holds the line in TD is the
     // §III Owned-turn-off invalidation round — served here as a recall
@@ -253,7 +253,9 @@ void DirectoryMesh::process(TxId id) {
 
   // Bitmap refresh: probe every involved cache, including the requester's
   // just-installed copy. Write-backs change nothing beyond
-  // writeback_granted (the requester's TD copy lives until on_done).
+  // writeback_granted (the requester's TD copy lives until on_done). The
+  // entry is looked up again after on_grant (which may have moved it);
+  // probes are side-effect-free, so `e` stays valid through the loop.
   if (kind != BusTxKind::kWriteBack) {
     coherence::DirectoryEntry& e = dir_.lookup(line);
     const std::uint64_t involved =
@@ -416,10 +418,10 @@ void DirectoryMesh::data_legs(TxId id, BusResult res, std::uint64_t targets,
 }
 
 void DirectoryMesh::wake_deferred(Addr line) {
-  const auto it = deferred_.find(line);
-  if (it == deferred_.end()) return;
-  TxId cur = it->second.head;
-  deferred_.erase(it);
+  const DefList* q = deferred_.find(line);
+  if (q == nullptr) return;
+  TxId cur = q->head;
+  deferred_.erase(line);
   const std::uint32_t home = home_tile(line);
   while (cur != kNoTx) {
     // Re-grant in FIFO order through the bank; a transaction may defer

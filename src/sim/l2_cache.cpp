@@ -50,17 +50,10 @@ void L2Cache::stop() { level_.stop(); }
 // Helpers
 // ---------------------------------------------------------------------------
 
-void L2Cache::cancel_td_wb(Payload& p) {
-  if (p.td_wb_token) {
-    *p.td_wb_token = false;
-    p.td_wb_token.reset();
-  }
-}
-
 void L2Cache::line_off(LineT ln) {
   CDSIM_ASSERT(ln.valid());
   if (obs_) obs_->on_invalidate(core_, ln.tag(), eq_.now());
-  cancel_td_wb(ln.payload());
+  cancel_td_wb(ln.tag());
   ln.payload().state = MesiState::kInvalid;
   ln.payload().fetching = false;
   ln.payload().upgrading = false;
@@ -371,7 +364,7 @@ void L2Cache::evict(LineT victim) {
   if (coherence::is_dirty(victim.payload().state)) {
     // Dirty data must reach memory. Any pending TD turn-off write-back for
     // this line is superseded by the eviction write-back.
-    cancel_td_wb(victim.payload());
+    cancel_td_wb(vline);
     level_.stats().writebacks.inc();
     if (trace_ != nullptr) {
       trace_->instant(trace_track_, "wb.evict", eq_.now(), "line", vline);
@@ -403,7 +396,7 @@ noc::SnoopReply L2Cache::snoop(coherence::BusTxKind kind, Addr line_addr,
       coherence::apply_snoop(cfg_.protocol, p.state, kind);
   noc::SnoopReply reply{out.had_line, out.supply_data, out.memory_update};
 
-  if (out.cancel_turnoff_wb) cancel_td_wb(p);
+  if (out.cancel_turnoff_wb) cancel_td_wb(line_addr);
   if (out.supply_data && obs_) {
     // Flush precedes the requester's on_grant install, so the verifier sees
     // the supplied data before the fill that consumes it.
@@ -459,7 +452,7 @@ void L2Cache::decay_sweep(Cycle now) {
         break;
       case coherence::MoesiTurnOffClass::kDirtyTurnOff: {
         p.state = MesiState::kTransientDirty;
-        p.td_wb_token = std::make_shared<bool>(true);
+        td_tokens_[line_addr] = ++next_td_token_;
         ++initiated;
         eq_.schedule_in(cfg_.l1_inval_latency,
                         [this, line_addr] { turn_off_dirty(line_addr); });
@@ -469,7 +462,7 @@ void L2Cache::decay_sweep(Cycle now) {
         // §III: "considering the Owned state of the MOESI, other copies
         // must be invalidated before a line is turned off."
         p.state = MesiState::kTransientDirty;
-        p.td_wb_token = std::make_shared<bool>(true);
+        td_tokens_[line_addr] = ++next_td_token_;
         ++initiated;
         eq_.schedule_in(cfg_.l1_inval_latency,
                         [this, line_addr] { turn_off_owned(line_addr); });
@@ -518,10 +511,12 @@ void L2Cache::turn_off_owned(Addr line_addr) {
   // system-wide, then flush like a dirty turn-off. The validator drops the
   // broadcast when a snoop already finished this line off (the snoop's
   // flush-and-cancel also cleared the token).
-  std::shared_ptr<bool> token = ln.payload().td_wb_token;
-  CDSIM_ASSERT(token != nullptr);
+  const std::uint64_t* live = td_tokens_.find(line_addr);
+  CDSIM_ASSERT(live != nullptr);
   noc::RequestHooks hooks;
-  hooks.validator = [token] { return *token; };
+  hooks.validator = [this, line_addr, token = *live] {
+    return td_wb_live(line_addr, token);
+  };
   hooks.on_done = [this, line_addr](const noc::BusResult&) {
     issue_turnoff_writeback(line_addr);
   };
@@ -553,11 +548,13 @@ void L2Cache::issue_turnoff_writeback(Addr line_addr) {
 
   // Flush on the bus (Grant/Flush edge); the validator lets a snoop that
   // already moved the data cancel this write-back.
-  std::shared_ptr<bool> token = ln.payload().td_wb_token;
-  CDSIM_ASSERT(token != nullptr);
+  const std::uint64_t* live = td_tokens_.find(line_addr);
+  CDSIM_ASSERT(live != nullptr);
   if (obs_) obs_->on_writeback_initiated(core_, line_addr, eq_.now());
   noc::RequestHooks hooks;
-  hooks.validator = [token] { return *token; };
+  hooks.validator = [this, line_addr, token = *live] {
+    return td_wb_live(line_addr, token);
+  };
   hooks.on_done = [this, line_addr](const noc::BusResult&) {
     LineT l2 = level_.tags().find(line_addr);
     if (!l2 || l2.payload().state != MesiState::kTransientDirty) {

@@ -80,15 +80,32 @@ MixPlan plan_mix(std::vector<ProgramSpec> programs,
     plan.program_names.push_back(spec.name);
   }
 
+  // A program whose trace cores are each replayed by exactly one machine
+  // core (its machine-core count equals its trace-core count) replays
+  // through one shared cursor per system: its machine cores are
+  // p, p + N, p + 2N, ... replaying trace cores 0, 1, 2, ... in order,
+  // which is the request order streaming_replay_factory expects.
+  std::vector<std::uint32_t> machine_cores(programs.size(), 0);
+  for (const MixAssignment& a : plan.assignment) ++machine_cores[a.program];
+  std::vector<workload::StreamFactory> demuxed(programs.size());
+  for (std::size_t p = 0; p < programs.size(); ++p) {
+    if (machine_cores[p] == shapes[p].cores) {
+      demuxed[p] = workload::streaming_replay_factory(programs[p].open);
+    }
+  }
+
   auto shared =
       std::make_shared<const std::vector<ProgramSpec>>(std::move(programs));
   auto assignment = plan.assignment;
-  plan.streams = [shared, assignment = std::move(assignment)](
-                     CoreId core, std::uint64_t /*seed*/)
-      -> workload::StreamPtr {
+  plan.streams = [shared, assignment = std::move(assignment),
+                  demuxed = std::move(demuxed)](
+                     CoreId core, std::uint64_t seed) -> workload::StreamPtr {
     CDSIM_ASSERT_MSG(core < assignment.size(),
                      "mix stream requested for an unplanned core");
     const MixAssignment& a = assignment[core];
+    if (demuxed[a.program] != nullptr) {
+      return demuxed[a.program](a.trace_core, seed);
+    }
     workload::TraceSourcePtr src = (*shared)[a.program].open();
     CDSIM_ASSERT_MSG(src != nullptr, "mix program opener failed mid-run");
     CDSIM_ASSERT_MSG(a.trace_core < src->num_cores(),

@@ -22,13 +22,13 @@ DifferentialChecker::DifferentialChecker(std::uint32_t num_cores,
 }
 
 Version DifferentialChecker::mem_version(Addr line) const {
-  const auto it = mem_.find(line);
-  return it == mem_.end() ? 0 : it->second;
+  const Version* v = mem_.find(line);
+  return v == nullptr ? 0 : *v;
 }
 
 Version DifferentialChecker::oracle_version(Addr line) const {
-  const auto it = oracle_.find(line);
-  return it == oracle_.end() ? 0 : it->second;
+  const Version* v = oracle_.find(line);
+  return v == nullptr ? 0 : *v;
 }
 
 void DifferentialChecker::diverge(CoreId core, Addr line, Cycle now,
@@ -46,8 +46,8 @@ void DifferentialChecker::on_load_hit(CoreId core, Addr line, Cycle now,
   const prof::ScopedPhase prof_scope(prof::Phase::kOracle);
   CDSIM_ASSERT(core < num_cores_);
   ++loads_checked_;
-  const auto it = copy_[core].find(line);
-  if (it == copy_[core].end()) {
+  const Version* have = copy_[core].find(line);
+  if (have == nullptr) {
     // A hit on a copy the shadow never saw installed: the hierarchy is
     // reading data whose provenance the protocol cannot explain.
     diverge(core, line, now, /*observed=*/0, oracle_version(line),
@@ -55,8 +55,8 @@ void DifferentialChecker::on_load_hit(CoreId core, Addr line, Cycle now,
     return;
   }
   const Version expected = oracle_version(line);
-  if (it->second != expected) {
-    diverge(core, line, now, it->second, expected, l1 ? "l1-hit" : "l2-hit");
+  if (*have != expected) {
+    diverge(core, line, now, *have, expected, l1 ? "l1-hit" : "l2-hit");
   }
 }
 
@@ -81,9 +81,9 @@ void DifferentialChecker::on_fill(CoreId core, Addr line, Cycle now,
   } else {
     // Memory-side fill: the shared L3 home bank is looked up before the
     // channel — the shadow mirrors the fabric's lookup order exactly.
-    const auto l3 = l3_.find(line);
-    from_l3 = l3 != l3_.end();
-    v = from_l3 ? l3->second : mem_version(line);
+    const Version* l3 = l3_.find(line);
+    from_l3 = l3 != nullptr;
+    v = from_l3 ? *l3 : mem_version(line);
   }
   const Version expected = oracle_version(line);
   if (v != expected) {
@@ -109,13 +109,13 @@ void DifferentialChecker::on_flush_supply(CoreId core, Addr line,
                                           Cycle now, bool memory_update) {
   const prof::ScopedPhase prof_scope(prof::Phase::kOracle);
   CDSIM_ASSERT(core < num_cores_);
-  const auto it = copy_[core].find(line);
+  const Version* have = copy_[core].find(line);
   Version v = 0;
-  if (it == copy_[core].end()) {
+  if (have == nullptr) {
     diverge(core, line, now, /*observed=*/0, oracle_version(line),
             "flush-untracked");
   } else {
-    v = it->second;
+    v = *have;
   }
   flush_valid_ = true;
   flush_line_ = line;
@@ -127,13 +127,13 @@ void DifferentialChecker::on_writeback_initiated(CoreId core, Addr line,
                                                  Cycle now) {
   const prof::ScopedPhase prof_scope(prof::Phase::kOracle);
   CDSIM_ASSERT(core < num_cores_);
-  const auto it = copy_[core].find(line);
+  const Version* have = copy_[core].find(line);
   Version v = 0;
-  if (it == copy_[core].end()) {
+  if (have == nullptr) {
     diverge(core, line, now, /*observed=*/0, oracle_version(line),
             "writeback-untracked");
   } else {
-    v = it->second;
+    v = *have;
   }
   pending_wb_[{core, line}].push_back(v);
 }
@@ -176,14 +176,14 @@ void DifferentialChecker::on_l3_install(Addr line, Cycle /*now*/) {
 }
 
 void DifferentialChecker::on_l3_writeback(Addr line, Cycle now) {
-  const auto it = l3_.find(line);
-  if (it == l3_.end()) {
+  const Version* held = l3_.find(line);
+  if (held == nullptr) {
     // The bank claims to push dirty data it never held.
     diverge(kNoCore, line, now, /*observed=*/0, mem_version(line),
             "l3-writeback-untracked");
     return;
   }
-  mem_[line] = it->second;
+  mem_[line] = *held;
 }
 
 void DifferentialChecker::on_l3_invalidate(Addr line, Cycle /*now*/) {

@@ -113,6 +113,11 @@ TEST(CdlintGolden, UnorderedIterationAndFloatAccum) {
   expect_golden("bad_unordered_iter.cpp");
 }
 
+TEST(CdlintGolden, AddrMapIsAnUnorderedContainer) {
+  // The flat line-address table: traversals fire, lookups/erase_if don't.
+  expect_golden("bad_addr_map_iter.cpp");
+}
+
 TEST(CdlintGolden, DeterministicLookupsStayQuiet) {
   expect_golden("good_unordered_lookup.cpp");
 }

@@ -1,16 +1,21 @@
 // Unit tests for the banked-DRAM controller and the per-core TLBs: row
 // hit / closed / conflict timing, FR-FCFS reordering with its starvation
 // cap, lazy refresh, write forwarding (the oracle-threading invariant),
-// TLB LRU behaviour and the miss-walk port, plus an oracle-checked kDram
-// system run proving flat and DRAM modes agree on every data value.
+// the decode-once address map, TLB LRU behaviour (its MRU-first lookup
+// against a scan-only reference) and the miss-walk port, plus an
+// oracle-checked kDram system run proving flat and DRAM modes agree on
+// every data value.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cdsim/common/event_queue.hpp"
+#include "cdsim/common/rng.hpp"
 #include "cdsim/mem/memory.hpp"
 #include "cdsim/mem/tlb.hpp"
 #include "cdsim/verify/fuzz.hpp"
@@ -140,6 +145,140 @@ TEST(Dram, ZeroByteRequestsCompleteWithoutTraffic) {
   EXPECT_EQ(mem.write_count(), 0u);
 }
 
+/// DRAM geometries for the decode-once checks: the default (all powers of
+/// two) and two with non-power-of-two channel, bank and row counts.
+std::vector<DramConfig> decode_geometries() {
+  std::vector<DramConfig> out(3);
+  out[1].channels = 3;
+  out[1].ranks_per_channel = 1;
+  out[1].banks_per_rank = 6;
+  out[1].row_bytes = 3072;
+  out[2].channels = 5;
+  out[2].ranks_per_channel = 3;
+  out[2].banks_per_rank = 3;
+  out[2].row_bytes = 1536;
+  out[2].interleave_bytes = 128;
+  for (DramConfig& d : out) d.t_refi = 0;
+  return out;
+}
+
+TEST(Dram, DecodeFollowsTheRowInterleavedAddressMap) {
+  for (const DramConfig& d : decode_geometries()) {
+    EventQueue eq;
+    MemoryConfig cfg;
+    cfg.model = MemoryModel::kDram;
+    cfg.dram = d;
+    const DramController dram(eq, cfg);
+    const std::uint64_t units_per_row = d.row_bytes / d.interleave_bytes;
+    const std::uint64_t banks =
+        std::uint64_t{d.ranks_per_channel} * d.banks_per_rank;
+    Xoshiro256 rng(d.channels);
+    for (int i = 0; i < 5000; ++i) {
+      const Addr line = rng.below(Addr{1} << 34) * 64;
+      const std::uint64_t unit = line / d.interleave_bytes;
+      const std::uint64_t within = unit / d.channels;
+      const DramController::Decoded got = dram.decode(line);
+      ASSERT_EQ(got.channel, unit % d.channels) << line;
+      ASSERT_EQ(got.bank, (within / units_per_row) % banks) << line;
+      ASSERT_EQ(got.row, within / (units_per_row * banks)) << line;
+    }
+  }
+}
+
+TEST(Dram, SchedulerServesTheRowDecodedAtArrival) {
+  // The controller decodes each request once, on arrival, and both the
+  // FR-FCFS row-hit scan and the service timing use the stored (bank,
+  // row). Batches of random lines arriving together are checked against
+  // a model of the scheduler that decodes through decode() at every scan:
+  // every completion cycle (so every pick and every hit/miss/conflict)
+  // must match.
+  for (const DramConfig& d : decode_geometries()) {
+    EventQueue eq;
+    MemoryConfig cfg;
+    cfg.model = MemoryModel::kDram;
+    cfg.dram = d;
+    DramController dram(eq, cfg);
+    const std::size_t banks =
+        std::size_t{d.ranks_per_channel} * d.banks_per_rank;
+    struct ModelBank {
+      std::int64_t open_row = -1;
+      Cycle ready = 0;
+    };
+    std::vector<ModelBank> model(d.channels * banks);
+    std::vector<Cycle> data_free(d.channels, 0);
+    const Cycle xfer = 64 / cfg.bytes_per_cycle;
+    Xoshiro256 rng(100 + d.channels);
+    for (int batch = 0; batch < 600; ++batch) {
+      const Cycle now = eq.now();
+      const std::size_t n = 1 + rng.below(6);
+      std::vector<Addr> lines;
+      std::vector<Cycle> done(n, 0);
+      for (std::size_t i = 0; i < n; ++i) {
+        // A few rows per bank, so hits, misses and conflicts all occur.
+        // Lines within a batch are distinct: no write forwarding.
+        Addr line = 0;
+        do {
+          line = rng.below(4 * d.channels * banks * d.row_bytes / 64) * 64;
+        } while (std::find(lines.begin(), lines.end(), line) != lines.end());
+        lines.push_back(line);
+        const auto cb = [&done, i](Cycle t) { done[i] = t; };
+        if (rng.below(3) == 0) {
+          dram.write(now, 64, lines[i], cb);
+        } else {
+          dram.read(now, 64, lines[i], cb);
+        }
+      }
+      eq.run();
+
+      // Model: per channel, the first arrival finds the channel idle and
+      // is served at once; the rest queue behind it and are picked
+      // FR-FCFS, in arrival order.
+      for (std::uint32_t ch = 0; ch < d.channels; ++ch) {
+        std::vector<std::size_t> queue;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (dram.decode(lines[i]).channel == ch) queue.push_back(i);
+        }
+        std::uint32_t front_bypassed = 0;
+        bool first = true;
+        Cycle t = now;
+        while (!queue.empty()) {
+          std::size_t pick = 0;
+          if (!std::exchange(first, false) &&
+              front_bypassed < d.starvation_limit) {
+            for (std::size_t q = 0; q < queue.size(); ++q) {
+              const DramController::Decoded w = dram.decode(lines[queue[q]]);
+              if (model[ch * banks + w.bank].open_row ==
+                  static_cast<std::int64_t>(w.row)) {
+                pick = q;
+                break;
+              }
+            }
+          }
+          front_bypassed = pick != 0 ? front_bypassed + 1 : 0;
+          const std::size_t i = queue[pick];
+          queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pick));
+          const DramController::Decoded w = dram.decode(lines[i]);
+          ModelBank& b = model[ch * banks + w.bank];
+          const auto row = static_cast<std::int64_t>(w.row);
+          const Cycle access = b.open_row == row ? d.t_cas
+                               : b.open_row < 0  ? d.t_rcd + d.t_cas
+                                                 : d.t_rp + d.t_rcd + d.t_cas;
+          b.open_row = row;
+          const Cycle start = std::max(t, b.ready);
+          const Cycle finish =
+              std::max(start + access, data_free[ch]) + xfer;
+          data_free[ch] = finish;
+          b.ready = finish;
+          t = finish;
+          ASSERT_EQ(done[i], finish) << "batch " << batch << " request " << i;
+        }
+      }
+    }
+    EXPECT_GT(dram.stats().row_hits, 0u);
+    EXPECT_GT(dram.stats().row_conflicts, 0u);
+  }
+}
+
 // --- TLB ---------------------------------------------------------------------
 
 TEST(Tlb, PageGranularityAndTrueLru) {
@@ -155,6 +294,73 @@ TEST(Tlb, PageGranularityAndTrueLru) {
   EXPECT_FALSE(tlb.access(0));       // page 0 is gone again
   EXPECT_EQ(tlb.hits(), 2u);
   EXPECT_EQ(tlb.misses(), 4u);
+}
+
+/// The TLB lookup before its most-recently-used shortcut: one linear scan
+/// per access, true LRU refill (first invalid entry, else oldest stamp).
+class ScanOnlyTlb {
+ public:
+  explicit ScanOnlyTlb(const TlbConfig& cfg)
+      : page_bytes_(cfg.page_bytes), entries_(cfg.entries) {}
+
+  bool access(Addr addr) {
+    const Addr page = addr / page_bytes_;
+    ++tick_;
+    for (Entry& e : entries_) {
+      if (e.valid && e.page == page) {
+        e.last_use = tick_;
+        return true;
+      }
+    }
+    Entry* victim = &entries_.front();
+    for (Entry& e : entries_) {
+      if (!e.valid) {
+        victim = &e;
+        break;
+      }
+      if (e.last_use < victim->last_use) victim = &e;
+    }
+    *victim = Entry{page, tick_, true};
+    return false;
+  }
+
+ private:
+  struct Entry {
+    Addr page = 0;
+    std::uint64_t last_use = 0;
+    bool valid = false;
+  };
+  std::uint64_t page_bytes_ = 1;
+  std::vector<Entry> entries_;
+  std::uint64_t tick_ = 0;
+};
+
+TEST(Tlb, MruFirstLookupMatchesAScanOnlyReference) {
+  // Runs on a few hot pages (MRU hits), jumps across a pool larger than
+  // the TLB (scan hits and LRU refills), on power-of-two and odd page
+  // sizes and TLB sizes.
+  for (const std::uint32_t entries : {1u, 4u, 64u}) {
+    for (const std::uint32_t page : {4096u, 3000u}) {
+      TlbConfig cfg;
+      cfg.enabled = true;
+      cfg.entries = entries;
+      cfg.page_bytes = page;
+      Tlb tlb(cfg);
+      ScanOnlyTlb ref(cfg);
+      Xoshiro256 rng(entries * 7919u + page);
+      std::uint64_t hits = 0;
+      Addr base = 0;
+      for (int i = 0; i < 20000; ++i) {
+        if (rng.below(8) == 0) base = rng.below(3 * entries + 5) * page;
+        const Addr addr = base + rng.below(2 * page);
+        const bool want = ref.access(addr);
+        ASSERT_EQ(tlb.access(addr), want) << "access " << i;
+        hits += want ? 1 : 0;
+      }
+      EXPECT_EQ(tlb.hits(), hits);
+      EXPECT_EQ(tlb.misses(), 20000 - hits);
+    }
+  }
 }
 
 /// Scriptable inner port standing in for the L1.

@@ -9,7 +9,8 @@
 // invalidate) over small adversarial geometries, and assert after every
 // single operation that they agree on the chosen victim way, hit/miss
 // outcomes, LRU ordering effects, count_valid, and the exact for_each_valid
-// visitation order.
+// visitation order. The zeroed (calloc'd) storage behind the arrays gets
+// its own checks at the end.
 
 #include <gtest/gtest.h>
 
@@ -247,6 +248,37 @@ TEST(TagArraySoaDifferential, EightWayMultiWordBitmap) {
 TEST(TagArraySoaDifferential, ManySeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     run_differential(Geometry(2 * KiB, 64, 4), 0xabcd0000 + seed, 600);
+  }
+}
+
+// --- zeroed storage -----------------------------------------------------------
+
+struct NonZeroDefault {
+  std::uint32_t a = 0;
+  std::uint8_t state = 3;  ///< A default the calloc'd zeros would not give.
+};
+
+TEST(ZeroedStorage, ValueInitIsZeroSeparatesPayloadKinds) {
+  EXPECT_TRUE(value_init_is_zero<Meta>());
+  EXPECT_TRUE(value_init_is_zero<std::uint64_t>());
+  EXPECT_FALSE(value_init_is_zero<NonZeroDefault>());
+}
+
+TEST(ZeroedStorage, VectorElementsStartValueInitialized) {
+  // A page-spanning array (mmap-sized, so calloc hands out fresh zero
+  // pages) and a small one (recycled heap, which calloc clears itself),
+  // each after dirtying the heap with a freed non-zero block.
+  for (const std::size_t n : {std::size_t{1} << 18, std::size_t{100}}) {
+    {
+      std::vector<Meta> dirty(n, Meta{0xdeadbeef, true});
+      ASSERT_EQ(dirty.back().stamp, 0xdeadbeefu);
+    }
+    ZeroedVector<Meta> v(n);
+    ASSERT_EQ(v.size(), n);
+    for (const Meta& m : v) {
+      ASSERT_EQ(m.stamp, 0u);
+      ASSERT_FALSE(m.pinned);
+    }
   }
 }
 

@@ -860,6 +860,94 @@ TEST(SharedReplay, SkewedTraceDetachesWithinTheQueueCap) {
   std::remove(path.c_str());
 }
 
+TEST(SharedReplay, MixOfProgramsOnTheirOwnCoreCountsOpensOncePerProgram) {
+  // Two captured 4-core programs on an 8-core mesh: each program's four
+  // trace cores are replayed by exactly one machine core apiece, so each
+  // program replays through one shared cursor per system — one open and
+  // one decode of every record — bit-identically to a private filtering
+  // cursor per machine core. A hot tenant's weight changes nothing.
+  std::vector<std::string> paths;
+  std::vector<std::size_t> records;
+  for (int i = 0; i < 2; ++i) {
+    verify::FuzzScenario sc;
+    sc.seed = 700 + static_cast<std::uint64_t>(i);
+    sc.instructions_per_core = 40000;
+    const verify::ScenarioOutcome out = verify::run_scenario(sc);
+    ASSERT_EQ(out.total_divergences, 0u);
+    ASSERT_EQ(out.trace.num_cores, 4u);
+    paths.push_back(temp_path("mixshared" + std::to_string(i)));
+    std::string err;
+    ASSERT_GT(out.trace.records.size(), 4 * 64u);  // spans chunks
+    ASSERT_TRUE(workload::save_v2(out.trace, paths.back(), &err,
+                                  /*chunk_records=*/64))
+        << err;
+    records.push_back(out.trace.records.size());
+  }
+
+  sim::SystemConfig cfg;
+  cfg.topology = noc::Topology::kDirectoryMesh;
+  cfg.total_l2_bytes = 8 * 32 * KiB;
+  cfg.l1.size_bytes = 8 * KiB;
+  cfg.decay = decay::DecayConfig{decay::Technique::kDecay, 2048, 4};
+  workload::Benchmark bench;
+  bench.config.name = "mix_shared";
+
+  for (const double hot : {1.0, 2.0}) {
+    OpenCounts counts[2];
+    std::vector<sim::ProgramSpec> progs(2);
+    for (int p = 0; p < 2; ++p) {
+      progs[p].name = paths[p];
+      progs[p].open = counting_opener(paths[p], &counts[p]);
+    }
+    progs[0].weight = hot;
+    const sim::MixPlan plan = sim::plan_mix(std::move(progs), 8);
+    for (const OpenCounts& c : counts) EXPECT_EQ(c.opens, 1u);  // planning
+    sim::SystemConfig mix_cfg = cfg;
+    plan.apply(mix_cfg);
+
+    // Reference: the per-core path, a private cursor per machine core.
+    sim::CmpSystem reference(
+        mix_cfg, bench,
+        [&paths, &plan](CoreId core, std::uint64_t) {
+          const sim::MixAssignment& a = plan.assignment[core];
+          return std::make_unique<workload::FilteredReplayStream>(
+              workload::open_trace_source(paths[a.program]), a.trace_core);
+        });
+    const sim::RunMetrics want = reference.run();
+
+    for (std::uint64_t pass = 1; pass <= 2; ++pass) {
+      sim::CmpSystem sys(mix_cfg, bench, plan.streams);
+      const sim::RunMetrics got = sys.run();
+      expect_same_run(got, want);
+      EXPECT_EQ(got.l2_decay_induced_misses, want.l2_decay_induced_misses);
+      EXPECT_EQ(got.mem_bytes, want.mem_bytes);
+      for (int p = 0; p < 2; ++p) {
+        EXPECT_EQ(counts[p].opens, 1 + pass) << "program " << p;
+        // Every record is drawn once; a hot tenant's cores outlive their
+        // records, so its cursor is also probed once past the end.
+        const std::size_t end_probe = p == 0 && hot > 1.0 ? 1 : 0;
+        EXPECT_EQ(counts[p].nexts, pass * (records[p] + end_probe))
+            << "program " << p;
+      }
+    }
+  }
+
+  // Four machine cores give each program only two: trace cores 2 and 3
+  // have no machine core, so both programs stay on private cursors.
+  OpenCounts counts[2];
+  std::vector<sim::ProgramSpec> progs(2);
+  for (int p = 0; p < 2; ++p) {
+    progs[p].open = counting_opener(paths[p], &counts[p]);
+  }
+  const sim::MixPlan plan = sim::plan_mix(std::move(progs), 4);
+  sim::SystemConfig mix_cfg = cfg;
+  plan.apply(mix_cfg);
+  sim::CmpSystem sys(mix_cfg, bench, plan.streams);
+  (void)sys.run();
+  for (const OpenCounts& c : counts) EXPECT_EQ(c.opens, 1u + 2u);
+  for (const std::string& p : paths) std::remove(p.c_str());
+}
+
 TEST(SharedReplay, CorruptMiddleChunkStopsTheRunWithTheReaderError) {
   // A flipped payload byte in a middle chunk must stop the replay with the
   // checksum error — on the shared path and through a mix — instead of

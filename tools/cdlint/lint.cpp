@@ -367,9 +367,12 @@ struct Linter {
   std::vector<Finding> findings = {};
 
   // File-local name tables (heuristic: names are file-unique enough).
+  // AddrMap (common/addr_map.hpp) is an open-addressing hash table: its
+  // slot order depends on hash and capacity history just like a bucket
+  // order, so it is tracked as an unordered container.
   std::set<std::string> unordered_types = {"unordered_map", "unordered_set",
                                            "unordered_multimap",
-                                           "unordered_multiset"};
+                                           "unordered_multiset", "AddrMap"};
   std::set<std::string> unordered_names = {};
   std::set<std::string> float_names = {};
 

@@ -11,14 +11,16 @@
 //
 // Rules (ids are stable; the allowlist and inline directives key on them):
 //
-//   unordered-iter        Iterating a std::unordered_{map,set} — bucket
-//                         order depends on hash seeding, allocation history
-//                         and libstdc++ version, so any observable effect of
-//                         the traversal is nondeterministic. Lookups are
-//                         fine; iteration needs an allowlist grant proving
-//                         the loop's effect is order-independent (the
-//                         CacheLevel attribution purge is the template: it
-//                         erases by simulated-time predicate only).
+//   unordered-iter        Iterating a std::unordered_{map,set} or a
+//                         cdsim::AddrMap — bucket/slot order depends on
+//                         hash seeding, allocation history and library
+//                         version, so any observable effect of the
+//                         traversal is nondeterministic. Lookups are fine;
+//                         iteration needs an allowlist grant proving the
+//                         loop's effect is order-independent. (AddrMap
+//                         offers only erase_if, an erase-by-predicate whose
+//                         result is the surviving set, which is how the
+//                         CacheLevel attribution purge ages its entries.)
 //   raw-random            rand()/srand()/time()/clock()/std::random_device/
 //                         std::mt19937/chrono clock now() outside
 //                         common/rng. All randomness must flow through the
